@@ -10,10 +10,12 @@ tallies instead of being hidden.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import permutations
+from math import factorial
 
-from ._kernels import active as _kernel
-from .cutting import CuttingRule, power, power_by_formula, valid_rules
+from .cutting import CutResult, CuttingRule, cut, power, power_by_formula, valid_rules
 from .errors import CapExceededError
 from .graphs import (
     PlfGraph,
@@ -27,7 +29,7 @@ from .graphs import (
     is_regular,
     is_simple,
 )
-from .splicing import SplicingRule, applicable, make_rule, sigma_pair
+from .splicing import SplicingRule, applicable, join, make_rule, sigma_pair
 
 SAMPLE_CAP = 20
 CONVERSE_SAMPLE_CAP = 50
@@ -118,60 +120,180 @@ def check_degree_balance(max_order: int = 5) -> TheoremReport:
 
 _LAW_EXPECTATIONS = {
     "count": "one product per hanging-edge bijection, per direction",
-    "reversal": "direction-1 products equal direction-2 of the reversed pair",
+    "reversal": "the join equals Prefix(g)+Suffix(h) rebuilt from the edge lists",
     "degree": "every product vertex keeps its source-graph degree",
     "bound": "product order at most order(g)+order(h)-1",
 }
 
 
+@dataclass
+class _CutGroup:
+    """Cuts whose fragment on one side joins the same way and whose
+    retained positions have the same source degrees.
+
+    rep is the first such cut; orders counts the members by the order
+    of the graph they were cut from.
+    """
+
+    rep: CutResult
+    degrees: tuple[int, ...]
+    count: int = 0
+    orders: Counter = field(default_factory=Counter)
+
+
+def _cut_groups(graphs, max_power: int | None = None):
+    """Cut every graph by every rule once and group the fragments.
+
+    Returns {(reflexive, power): (prefix groups, suffix groups)}.  A
+    fragment is keyed by what join reads (retained span, intact edges,
+    hanging anchors in order) and by the source degrees the degree law
+    expects; a half-vertex counts ld(i) on the prefix side and rd(i) on
+    the suffix side, because the merged vertex gets ld(i) + rd(j).
+    """
+    out: dict = {}
+    for g in graphs:
+        prof = degree_profile(g)
+        for rule in valid_rules(g):
+            c = cut(g, rule)
+            if max_power is not None and c.power > max_power:
+                continue
+            i = rule.i
+            pre_deg, suf_deg = prof.total[:i], prof.total[i:]
+            if rule.reflexive:
+                pre_deg = pre_deg[:-1] + (prof.left[i - 1],)
+                suf_deg = (prof.right[i - 1],) + suf_deg
+            sides = out.setdefault((rule.reflexive, c.power), ({}, {}))
+            fragments = ((c.prefix, pre_deg), (c.suffix, suf_deg))
+            for groups, (frag, deg) in zip(sides, fragments):
+                key = (frag.start, frag.end, frag.intact,
+                       tuple(h.anchor for h in frag.hanging), deg)
+                group = groups.get(key)
+                if group is None:
+                    group = groups[key] = _CutGroup(c, deg)
+                group.count += 1
+                group.orders[g.order] += 1
+    return {k: (list(p.values()), list(s.values())) for k, (p, s) in out.items()}
+
+
+def _halves(g: PlfGraph, i: int, reflexive: bool):
+    """Split g's edge list around a cut at position i: the edges wholly
+    left of it, those wholly right of it, and the left and right ends
+    of the severed ones.  Shares no code with cut or join, so the sweep
+    can rebuild every product from the edge lists alone.
+    """
+    left, right, left_ends, right_ends = [], [], [], []
+    for u, v in g.edges:
+        if v <= i:
+            left.append((u, v))
+        elif u > i or (u == i and reflexive):
+            right.append((u, v))
+        else:
+            left_ends.append(u)
+            right_ends.append(v)
+    return left, right, left_ends, right_ends
+
+
 def check_splice_theorems(max_order: int = 5, max_power: int = 3) -> list[TheoremReport]:
     """Product-law sweep plus the fixed-witness splicing checks.
 
-    The sweep runs every ordered pair of labeled simple graphs up to
-    max_order through every applicable cut combination of power at most
-    max_power, checking product counts, reversal symmetry, per-vertex
-    degree preservation, and the order bound with its achievability
-    (splitting the first graph's last vertex against the second's first
-    must reach order(g)+order(h)-1 exactly).
+    The sweep covers every ordered pair of labeled simple graphs up to
+    max_order and every applicable cut combination (g by rule a, h by
+    rule b) of power m at most max_power; each such combo builds the m!
+    products of Prefix(g)+Suffix(h) and the m! of Prefix(h)+Suffix(g).
+    Every per-product law reads only the (prefix, suffix) fragment pair,
+    so each graph is cut once, equal fragments are grouped, and join
+    runs once per distinct fragment pair and bijection.  Tallies are
+    weighted by the number of combos sharing the pair; over all ordered
+    pairs a fragment pair is built once per direction, hence the 2.
+
+    The laws: m! products per direction; each join equals
+    Prefix(g)+Suffix(h) rebuilt straight from the edge lists (the
+    reversal identity, since direction 1 of (g, h) and direction 2 of
+    (h, g) are both that graph); every vertex keeps its source degree;
+    and the product order is at most order(g)+order(h)-1.  That bound's
+    achievability is arithmetic: [n,n] and [1,1] always have power 0,
+    so every ordered pair has that combo, and its join has order
+    |g|+|h|-1; one join per pair of operand orders checks it.
     """
     corpus = list(graphs_up_to(max_order, cap=PAIR_SWEEP_CAP))
-    tables = [_kernel.prepare_graph(g.order, g.edges) for g in corpus]
-    combos = products = 0
+    combos = products = oversize = 0
     counts = {"count": 0, "reversal": 0, "degree": 0, "bound": 0}
     samples: dict[str, list] = {k: [] for k in counts}
-    unachieved = 0
-    oversize = 0
-    for ia, ta in enumerate(tables):
-        ga = corpus[ia]
-        for ib, tb in enumerate(tables):
-            (c, p, count_v, rev_v, deg_v, bound_v, achieved, osz,
-             pair_samples) = _kernel.splice_pair_check(ta, tb, max_power)
-            combos += c
-            products += p
-            counts["count"] += count_v
-            counts["reversal"] += rev_v
-            counts["degree"] += deg_v
-            counts["bound"] += bound_v
-            oversize += osz
-            if not achieved:
-                counts["bound"] += 1
+
+    def flag(kind, weight, pre, suf, detail):
+        counts[kind] += weight
+        if len(samples[kind]) < SAMPLE_CAP:
+            ca, cb = pre.rep, suf.rep
+            samples[kind].append((
+                f"{ca.graph} with {cb.graph}, rules {ca.rule}:{cb.rule}",
+                _LAW_EXPECTATIONS[kind], detail,
+            ))
+
+    for (reflexive, m), (pres, sufs) in _cut_groups(corpus, max_power).items():
+        combos += sum(pre.count for pre in pres) ** 2
+        bijections = list(permutations(range(m)))
+        suffix_halves = [_halves(suf.rep.graph, suf.rep.rule.i, reflexive)
+                         for suf in sufs]
+        for pre in pres:
+            ca = pre.rep
+            ia = ca.rule.i
+            kept, _, left_ends, _ = _halves(ca.graph, ia, reflexive)
+            for suf, (_, right, _, right_ends) in zip(sufs, suffix_halves):
+                cb = suf.rep
+                nb = cb.graph.order
+                pairs = pre.count * suf.count
+                built = [join(ca.prefix, cb.suffix, r)
+                         for r in permutations(range(len(ca.prefix.hanging)))]
+                products += 2 * pairs * len(built)
+                if len(built) != factorial(m):
+                    flag("count", pairs, pre, suf,
+                         f"got {len(built)} products, expected {factorial(m)}")
+                # Prefix(g)+Suffix(h) from the edge lists: h's side shifts
+                # so that its cut position lands on g's
+                shift = ia - cb.rule.i
+                base = kept + [(u + shift, v + shift) for u, v in right]
+                for r, p in zip(bijections, built):
+                    rebuilt = base + [(left_ends[t], right_ends[r[t]] + shift)
+                                      for t in range(m)]
+                    if (p.order, p.edges) != (nb + shift, tuple(sorted(rebuilt))):
+                        flag("reversal", pairs, pre, suf,
+                             f"bijection {r} joined to {p}")
+                        break
+                if reflexive:
+                    merged = pre.degrees[-1] + suf.degrees[0]
+                    expected = [*pre.degrees[:-1], merged, *suf.degrees[1:]]
+                else:
+                    expected = [*pre.degrees, *suf.degrees]
+                for p in built:
+                    deg = [0] * (p.order + 1)
+                    for u, v in p.edges:
+                        deg[u] += 1
+                        deg[v] += 1
+                    if deg[1:] != expected:
+                        flag("degree", 2 * pairs, pre, suf,
+                             f"degrees {tuple(deg[1:])}, expected {tuple(expected)}")
+                    for na, k in pre.orders.items():
+                        bound = na + nb - 1
+                        if p.order > bound:
+                            flag("bound", 2 * k * suf.count, pre, suf,
+                                 f"order {p.order} exceeds {bound}")
+                        if p.size > bound:
+                            oversize += 2 * k * suf.count
+
+    by_order = Counter(g.order for g in corpus)
+    first = {}
+    for g in corpus:
+        first.setdefault(g.order, g)
+    for na, ga in first.items():
+        for nb, gb in first.items():
+            widest = join(cut(ga, (na, na)).prefix, cut(gb, (1, 1)).suffix, ())
+            if widest.order != na + nb - 1:
+                counts["bound"] += by_order[na] * by_order[nb]
                 if len(samples["bound"]) < SAMPLE_CAP:
-                    gb = corpus[ib]
                     samples["bound"].append((
-                        f"{ga} with {gb}, splitting rules "
-                        f"[{ga.order},{ga.order}]:[1,1]",
-                        f"order {ga.order + gb.order - 1}",
-                        "maximal order not reached",
+                        f"{ga} with {gb}, splitting rules [{na},{na}]:[1,1]",
+                        f"order {na + nb - 1}", "maximal order not reached",
                     ))
-            if pair_samples:
-                gb = corpus[ib]
-                for kind, (ri, rj, rk, rl), detail in pair_samples:
-                    bucket = samples[kind]
-                    if len(bucket) < SAMPLE_CAP:
-                        bucket.append((
-                            f"{ga} with {gb}, rules [{ri},{rj}]:[{rk},{rl}]",
-                            _LAW_EXPECTATIONS[kind], detail,
-                        ))
 
     sweep_note = {
         "pairs": len(corpus) ** 2,
@@ -373,52 +495,52 @@ def check_iso_splice(max_order: int = 5) -> TheoremReport:
     """Splicing two isomorphic graphs: a product isomorphic to them must
     keep their order (asserted; immediate since isomorphism preserves
     order), and equal-order products that fail to be isomorphic are
-    tallied as converse exceptions."""
-    groups: dict[bytes, list[int]] = {}
-    corpus = list(graphs_up_to(max_order, cap=PAIR_SWEEP_CAP))
-    tables = [_kernel.prepare_graph(g.order, g.edges) for g in corpus]
-    for idx, g in enumerate(corpus):
-        groups.setdefault(canonical_form(g), []).append(idx)
+    tallied as converse exceptions.
+
+    Runs like the product-law sweep, one isomorphism class at a time:
+    the members are cut once, fragments are grouped within the class,
+    and join runs once per distinct fragment pair and bijection, with
+    every tally weighted by the combos sharing the pair.
+    """
+    classes: dict[bytes, list[PlfGraph]] = {}
+    for g in graphs_up_to(max_order, cap=PAIR_SWEEP_CAP):
+        classes.setdefault(canonical_form(g), []).append(g)
 
     instances = 0
     same_order = 0
     exceptions = 0
     exception_samples = []
     violations = []  # unreachable by arithmetic, kept for honesty
-    for key, members in groups.items():
-        for ia in members:
-            ta = tables[ia]
-            ga = corpus[ia]
-            for ib in members:
-                tb = tables[ib]
-                for cut_key, idxs_a in ta.by_key.items():
-                    idxs_b = tb.by_key.get(cut_key)
-                    if not idxs_b:
-                        continue
-                    for ra in idxs_a:
-                        for rb in idxs_b:
-                            prods = _kernel.pair_products(ta, ra, tb, rb)
-                            prods += _kernel.pair_products(tb, rb, ta, ra)
-                            for order, edges in prods:
-                                instances += 1
-                                if order != ga.order:
-                                    # different order forces non-isomorphic,
-                                    # so the asserted direction holds
-                                    continue
-                                same_order += 1
-                                if canonical_form(PlfGraph(order, edges)) != key:
-                                    exceptions += 1
-                                    if len(exception_samples) < CONVERSE_SAMPLE_CAP:
-                                        exception_samples.append(
-                                            f"{ga} with {corpus[ib]} rules "
-                                            f"{ta.rules[ra]}:{tb.rules[rb]} "
-                                            f"gave {PlfGraph(order, edges)}"
-                                        )
+    for key, members in classes.items():
+        n = members[0].order
+        for (_refl, m), (pres, sufs) in _cut_groups(members).items():
+            bijections = list(permutations(range(m)))
+            for pre in pres:
+                ca = pre.rep
+                for suf in sufs:
+                    cb = suf.rep
+                    weight = 2 * pre.count * suf.count
+                    for r in bijections:
+                        p = join(ca.prefix, cb.suffix, r)
+                        instances += weight
+                        if p.order != n:
+                            # different order forces non-isomorphic, so
+                            # the asserted direction holds
+                            continue
+                        same_order += weight
+                        if canonical_form(p) != key:
+                            exceptions += weight
+                            if len(exception_samples) < SAMPLE_CAP:
+                                exception_samples.append(
+                                    f"{ca.graph} with {cb.graph} rules "
+                                    f"{(ca.rule.i, ca.rule.j)}:"
+                                    f"{(cb.rule.i, cb.rule.j)} gave {p}"
+                                )
     return _report("iso-order", instances, len(violations), violations,
-                   {"isomorphic_pairs": sum(len(m) ** 2 for m in groups.values()),
+                   {"isomorphic_pairs": sum(len(m) ** 2 for m in classes.values()),
                     "same_order_products": same_order,
                     "converse_exceptions": exceptions,
-                    "converse_samples": exception_samples[:SAMPLE_CAP]})
+                    "converse_samples": exception_samples})
 
 
 def check_bipartite_criterion(max_order: int = 6) -> TheoremReport:

@@ -14,7 +14,6 @@ from functools import lru_cache
 from itertools import combinations, permutations
 
 from .errors import CapExceededError, InvalidGraphError, InvalidOrderingError
-from ._kernels import active as _kernel
 
 DEFAULT_CANON_CAP = 10
 
@@ -247,13 +246,79 @@ def is_connected(g: PlfGraph) -> bool:
     return len(seen) == g.order
 
 
+def _cmp_prefix(a, b, length):
+    for k in range(length):
+        if a[k] != b[k]:
+            return 1 if a[k] > b[k] else -1
+    return 0
+
+
+def _canonical_search(order: int, edges) -> bytes:
+    """Smallest upper-triangle multiplicity vector over relabelings.
+
+    Positions are ordered by non-increasing degree and each vertex may only
+    occupy a position whose target degree matches its own, which keeps the
+    search well below n! without affecting the minimum.  The vector lists
+    multiplicities column by column: for each position p the entries
+    (1,p), (2,p), ..., (p-1,p).  Two graphs get equal encodings iff they
+    are isomorphic.
+    """
+    n = order
+    if n == 0:
+        return b"0|"
+    if n == 1:
+        return b"1|"
+    mult = [[0] * n for _ in range(n)]
+    deg = [0] * n
+    for u, v in edges:
+        mult[u - 1][v - 1] += 1
+        mult[v - 1][u - 1] += 1
+        deg[u - 1] += 1
+        deg[v - 1] += 1
+    target = sorted(deg, reverse=True)
+    slot_candidates = [
+        [v for v in range(n) if deg[v] == target[p]] for p in range(n)
+    ]
+    vec_len = n * (n - 1) // 2
+    vec = [0] * vec_len
+    assigned = [0] * n
+    used = [False] * n
+    best: list | None = None
+
+    def search(p, length):
+        nonlocal best
+        if p == n:
+            if best is None or vec < best:
+                best = vec[:]
+            return
+        for v in slot_candidates[p]:
+            if used[v]:
+                continue
+            row = mult[v]
+            pos = length
+            for q in range(p):
+                vec[pos] = row[assigned[q]]
+                pos += 1
+            # prune any branch already lexicographically above the best
+            if best is not None and _cmp_prefix(vec, best, pos) > 0:
+                continue
+            used[v] = True
+            assigned[p] = v
+            search(p + 1, pos)
+            used[v] = False
+
+    search(0, 0)
+    return f"{n}|".encode() + ",".join(map(str, best)).encode()
+
+
 @lru_cache(maxsize=65536)
 def _canon_cached(order: int, edges: tuple[Edge, ...]) -> bytes:
-    return _kernel.canonical_form(order, edges)
+    return _canonical_search(order, edges)
 
 
 def canonical_form(g: PlfGraph, cap: int | None = None) -> bytes:
-    """Backend-computed isomorphism-complete encoding of g.
+    """Isomorphism-complete encoding of g, searched once per distinct
+    (order, edges) and cached.
 
     cap bounds the order this is willing to canonicalize (the search is
     worst-case factorial); pass a larger cap explicitly for bigger graphs.

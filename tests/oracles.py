@@ -2,12 +2,20 @@
 
 Everything here is deliberately naive: permutation search for
 isomorphism, component counting for cycles, color enumeration for
-bipartiteness.  Slow but obviously correct on small graphs.
+bipartiteness, one sigma_pair call per ordered pair and rule pair for
+the law sweeps.  Slow but obviously correct on small graphs.
 """
 
 from itertools import permutations
 
-from graphsplice import PlfGraph
+from graphsplice import (
+    NotApplicableError,
+    PlfGraph,
+    SplicingRule,
+    power,
+    sigma_pair,
+    valid_rules,
+)
 
 
 def brute_canonical(g: PlfGraph):
@@ -84,3 +92,46 @@ def bipartite_by_enumeration(g: PlfGraph) -> bool:
         if all(color[u] != color[v] for u, v in g.edges):
             return True
     return n == 0
+
+
+def _splice_all(g, h, max_power=None):
+    """sigma_pair's products for every rule pair that applies to (g, h)."""
+    for c1 in valid_rules(g):
+        if max_power is not None and power(g, c1) > max_power:
+            continue
+        for c2 in valid_rules(h):
+            try:
+                yield sigma_pair(g, h, SplicingRule(c1, c2))
+            except NotApplicableError:
+                continue
+
+
+def pairwise_law_sweep(graphs, max_power):
+    """(combos, products, oversize) over every ordered pair of graphs:
+    one combo per applicable rule pair, every product counted, and the
+    products with more edges than order(g)+order(h)-1 tallied."""
+    combos = products = oversize = 0
+    for g in graphs:
+        for h in graphs:
+            for prods in _splice_all(g, h, max_power):
+                combos += 1
+                products += len(prods)
+                oversize += sum(p.graph.size > g.order + h.order - 1 for p in prods)
+    return combos, products, oversize
+
+
+def pairwise_iso_sweep(graphs):
+    """(instances, converse exceptions) over every ordered pair of
+    isomorphic graphs: every product counts, and an equal-order product
+    not isomorphic to the operands is an exception."""
+    instances = exceptions = 0
+    for g in graphs:
+        for h in graphs:
+            if brute_canonical(g) != brute_canonical(h):
+                continue
+            for prods in _splice_all(g, h):
+                for p in prods:
+                    instances += 1
+                    if p.graph.order == g.order and not brute_isomorphic(p.graph, g):
+                        exceptions += 1
+    return instances, exceptions

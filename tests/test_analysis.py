@@ -18,8 +18,10 @@ from graphsplice import (
     power,
     verify_all,
 )
+from graphsplice import analysis, join
 from graphsplice.analysis import graphs_up_to
 from conftest import plf_graphs
+from oracles import pairwise_iso_sweep, pairwise_law_sweep
 
 ORDER4_TREE = PlfGraph(4, ((1, 3), (2, 4), (1, 4)))
 
@@ -50,6 +52,39 @@ def test_splice_law_sweep_small():
     # achievability failures count as order-bound violations, so a
     # verified report covers both halves of the claim
     assert "violations_total" not in reports["order-bound"].extras
+
+
+def test_splice_law_sweep_matches_the_pairwise_oracle():
+    reports = {r.check_id: r for r in check_splice_theorems(3, 3)}
+    bound = reports["order-bound"].extras
+    combos, products, oversize = pairwise_law_sweep(list(graphs_up_to(3)), 3)
+    assert (bound["combos"], bound["products_built"],
+            bound["oversize_edge_counts"]) == (combos, products, oversize)
+
+
+def test_splice_law_sweep_order4_counts():
+    # fragments shared by many cuts weigh in by multiplicity here, which
+    # the order-3 oracle comparison exercises far less
+    reports = {r.check_id: r for r in check_splice_theorems(4, 3)}
+    bound = reports["order-bound"]
+    assert reports["product-count"].instances_checked == 52627
+    assert bound.instances_checked == 129094
+    assert bound.extras["oversize_edge_counts"] == 2066
+
+
+def test_reversal_check_catches_a_misrouted_join(monkeypatch):
+    # route hanging edge t to r[(t+1) mod m]: every bijection still has a
+    # product and degrees are unchanged, but the products are the wrong ones
+    def misrouted(prefix, suffix, r):
+        m = len(r)
+        if m >= 2:
+            r = tuple(r[(t + 1) % m] for t in range(m))
+        return join(prefix, suffix, r)
+
+    monkeypatch.setattr(analysis, "join", misrouted)
+    reports = {r.check_id: r for r in check_splice_theorems(3, 3)}
+    assert reports["reversal"].status == "violated"
+    assert reports["degree-preservation"].status == "verified"
 
 
 def test_regularity_exceptions_are_all_reflexive():
@@ -135,8 +170,17 @@ def test_bipartite_criterion_sweep():
 def test_iso_splice_small_sweep():
     report = check_iso_splice(4)
     assert report.status == "verified"
-    assert report.extras["isomorphic_pairs"] > 0
-    assert report.extras["converse_exceptions"] > 0
+    assert report.instances_checked == 18850
+    assert report.extras["isomorphic_pairs"] == 579
+    assert report.extras["same_order_products"] == 7490
+    assert report.extras["converse_exceptions"] == 1508
+
+
+def test_iso_splice_matches_the_pairwise_oracle():
+    report = check_iso_splice(3)
+    instances, exceptions = pairwise_iso_sweep(list(graphs_up_to(3)))
+    assert (report.instances_checked,
+            report.extras["converse_exceptions"]) == (instances, exceptions)
 
 
 def test_verify_all_covers_every_check():
