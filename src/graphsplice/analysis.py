@@ -29,7 +29,7 @@ from .graphs import (
     is_regular,
     is_simple,
 )
-from .splicing import SplicingRule, applicable, join, make_rule, sigma_pair
+from .splicing import join, make_rule, recombine, sigma_pair
 
 SAMPLE_CAP = 20
 CONVERSE_SAMPLE_CAP = 50
@@ -350,26 +350,25 @@ def _regularity_report() -> TheoremReport:
     report tallies the reflexive exceptions instead of hiding them.
     """
     corpus = [cycle(3), cycle(4), cycle(5), cycle(6), complete(4), complete(5)]
+    tables = [(g, is_regular(g), [cut(g, c) for c in valid_rules(g)])
+              for g in corpus]
     instances = 0
     total = 0
     samples = []
     gap_rule_total = 0
-    for g in corpus:
-        rg = is_regular(g)
-        for h in corpus:
-            if is_regular(h) != rg:
+    for g, rg, g_cuts in tables:
+        for h, rh, h_cuts in tables:
+            if rh != rg:
                 continue
-            for c1 in valid_rules(g):
-                for c2 in valid_rules(h):
-                    s = SplicingRule(c1, c2)
-                    if not applicable(g, h, s):
-                        continue
-                    for prod in sigma_pair(g, h, s):
+            for cg in g_cuts:
+                for ch in h_cuts:
+                    for prod in recombine(cg, ch):
                         instances += 1
                         r = is_regular(prod.graph)
                         if r != rg:
                             total += 1
-                            if not (c1.reflexive and c2.reflexive):
+                            s = prod.rule
+                            if not (s.first.reflexive and s.second.reflexive):
                                 gap_rule_total += 1
                             if len(samples) < SAMPLE_CAP:
                                 samples.append((

@@ -25,7 +25,7 @@ from .graphs import (
     path,
 )
 from .language import language
-from .splicing import SplicingRule, products_first, products_second
+from .splicing import SplicingRule, sigma_pair
 
 _GENERATORS = {
     "cycle": (cycle, 1),
@@ -125,11 +125,8 @@ def _cmd_splice(args) -> int:
     g = _load_graph(args.first)
     h = _load_graph(args.second)
     rule = _parse_splice_arg(args.rule)
-    produced = []
-    if args.direction in ("first", "both"):
-        produced.extend(products_first(g, h, rule))
-    if args.direction in ("second", "both"):
-        produced.extend(products_second(g, h, rule))
+    wanted = {"first": (1,), "second": (2,), "both": (1, 2)}[args.direction]
+    produced = [p for p in sigma_pair(g, h, rule) if p.direction in wanted]
     if args.out:
         Path(args.out).mkdir(parents=True, exist_ok=True)
     records = []
@@ -197,6 +194,10 @@ _SPLICE_GROUP = (
 
 
 def _cmd_verify(args) -> int:
+    if args.max_order < 1:
+        raise GraphSpliceError(f"--max-order must be at least 1, got {args.max_order}")
+    if args.max_power < 0:
+        raise GraphSpliceError(f"--max-power must be at least 0, got {args.max_power}")
     if args.theorem is None:
         reports = analysis.verify_all(args.max_order, args.max_power)
     elif args.theorem in _CHECKERS:

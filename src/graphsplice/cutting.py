@@ -35,8 +35,11 @@ class CuttingRule:
     def reflexive(self) -> bool:
         return self.i == self.j
 
+    def fits(self, g: PlfGraph) -> bool:
+        return self.j <= g.order
+
     def check_valid_for(self, g: PlfGraph) -> None:
-        if self.j > g.order:
+        if not self.fits(g):
             raise InvalidRuleError(
                 f"rule [{self.i},{self.j}] is out of range for order {g.order}"
             )

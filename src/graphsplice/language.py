@@ -12,9 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import InvalidRuleError, NotApplicableError, SystemDefinitionError
+from .cutting import cut
+from .errors import SystemDefinitionError
 from .graphs import DEFAULT_CANON_CAP, PlfGraph, canonical_form, is_simple
-from .splicing import SplicingRule, sigma_pair
+from .splicing import SplicingRule, recombine
 
 DEFAULT_MAX_ITERATIONS = 4
 DEFAULT_MAX_ORDER = 8
@@ -106,16 +107,23 @@ def sigma_step(graphs, system: SplicingSystem) -> dict[bytes, PlfGraph]:
 
 
 def _step(reps, system, cap):
-    """All products of ordered pairs of reps; cap bounds canonicalization."""
+    """All products of ordered pairs of reps; cap bounds canonicalization.
+
+    Each rep is cut once per distinct cutting rule that fits its order; a
+    (pair, rule) missing a cut, or whose cuts do not recombine, adds nothing.
+    """
+    cutting_rules = {c for s in system.rules for c in (s.first, s.second)}
+    tables = [{c: cut(g, c) for c in cutting_rules if c.fits(g)} for g in reps]
     found: dict[bytes, ClassInfo] = {}
     raw = 0
-    for g in reps:
-        for h in reps:
+    for g_cuts in tables:
+        for h_cuts in tables:
             for s in system.rules:
-                try:
-                    products = sigma_pair(g, h, s)
-                except (InvalidRuleError, NotApplicableError):
+                cg = g_cuts.get(s.first)
+                ch = h_cuts.get(s.second)
+                if cg is None or ch is None:
                     continue
+                products = recombine(cg, ch)
                 raw += len(products)
                 for prod in products:
                     key = canonical_form(prod.graph, cap)

@@ -1,11 +1,13 @@
 """Splicing rules and the recombination of cut fragments.
 
-A splicing rule cuts the first graph with its first cutting rule and the
-second graph with its second, then rejoins fragments crosswise: the first
+A splicing rule (c1, c2) cuts the first graph by c1 and the second by c2,
+once each, then rejoins the four fragments crosswise: the first
 direction keeps Prefix(G) and Suffix(H), the second keeps Prefix(H) and
 Suffix(G).  With m hanging edges per fragment there are m! bijections per
 direction, hence 2(m!) products, every one of which is emitted with its
-provenance.
+provenance.  recombine is the one splice path: sigma_pair feeds it two
+fresh cuts, while the closure and the regularity report feed it cuts
+looked up in per-graph tables.
 """
 
 from __future__ import annotations
@@ -48,14 +50,6 @@ class SpliceProduct:
     direction: int  # 1: Prefix(g)+Suffix(h); 2: Prefix(h)+Suffix(g)
     bijection: Recombination
     rule: SplicingRule
-
-
-def applicable(g: PlfGraph, h: PlfGraph, s: SplicingRule) -> bool:
-    """Whether the fragments can recombine: equal severed-edge counts and
-    agreeing vertex-split behavior (reflexive pairs with reflexive)."""
-    cg = cut(g, s.first)
-    ch = cut(h, s.second)
-    return _compatible(cg, ch) is None
 
 
 def _compatible(cg: CutResult, ch: CutResult) -> str | None:
@@ -102,37 +96,35 @@ def join(prefix: Fragment, suffix: Fragment, r: Recombination) -> PlfGraph:
     return PlfGraph(order, tuple(edges))
 
 
-def _products(pre_cut: CutResult, suf_cut: CutResult, direction: int,
-              s: SplicingRule) -> list[SpliceProduct]:
-    reason = _compatible(pre_cut, suf_cut)
-    if reason is not None:
-        raise NotApplicableError(f"rule {s} on this pair: {reason}")
-    m = pre_cut.power
-    out = []
-    for perm in permutations(range(m)):
-        graph = join(pre_cut.prefix, suf_cut.suffix, perm)
-        out.append(SpliceProduct(graph, direction, perm, s))
-    return out
+def recombine(cg: CutResult, ch: CutResult) -> list[SpliceProduct]:
+    """Both directions from the cuts of G by c1 and of H by c2.
 
-
-def products_first(g: PlfGraph, h: PlfGraph, s: SplicingRule) -> list[SpliceProduct]:
-    """All m! first-direction products: Prefix(g) joined to Suffix(h).
-
-    Bijections run in lexicographic order over the sorted hanging lists;
-    m = 0 yields exactly one product (a disjoint union, or a one-point
-    amalgamation when the cuts split vertices).
+    Direction 1 joins Prefix(G) to Suffix(H), direction 2 Prefix(H) to
+    Suffix(G), each over the m! bijections in lexicographic order on the
+    sorted hanging lists; m = 0 yields one product per direction (a
+    disjoint union, or a one-point amalgamation when the cuts split
+    vertices).  Cuts that cannot recombine yield no product at all.
     """
-    return _products(cut(g, s.first), cut(h, s.second), 1, s)
-
-
-def products_second(g: PlfGraph, h: PlfGraph, s: SplicingRule) -> list[SpliceProduct]:
-    """All m! second-direction products: Prefix(h) joined to Suffix(g)."""
-    return _products(cut(h, s.second), cut(g, s.first), 2, s)
+    if _compatible(cg, ch) is not None:
+        return []
+    rule = SplicingRule(cg.rule, ch.rule)
+    bijections = list(permutations(range(cg.power)))
+    return [
+        SpliceProduct(join(pre.prefix, suf.suffix, r), direction, r, rule)
+        for direction, pre, suf in ((1, cg, ch), (2, ch, cg))
+        for r in bijections
+    ]
 
 
 def sigma_pair(g: PlfGraph, h: PlfGraph, s: SplicingRule) -> list[SpliceProduct]:
-    """Both directions, 2(m!) products in direction-then-bijection order."""
-    return products_first(g, h, s) + products_second(g, h, s)
+    """recombine on g cut by s.first and h cut by s.second: 2(m!) products
+    in direction-then-bijection order, or NotApplicableError."""
+    cg = cut(g, s.first)
+    ch = cut(h, s.second)
+    products = recombine(cg, ch)
+    if not products:
+        raise NotApplicableError(f"rule {s} on this pair: {_compatible(cg, ch)}")
+    return products
 
 
 def max_product_order(g: PlfGraph, h: PlfGraph) -> int:

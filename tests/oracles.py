@@ -3,19 +3,23 @@
 Everything here is deliberately naive: permutation search for
 isomorphism, component counting for cycles, color enumeration for
 bipartiteness, one sigma_pair call per ordered pair and rule pair for
-the law sweeps.  Slow but obviously correct on small graphs.
+the law sweeps and per ordered pair and rule for the closure.  Slow but
+obviously correct on small graphs.
 """
 
 from itertools import permutations
 
 from graphsplice import (
+    InvalidRuleError,
     NotApplicableError,
     PlfGraph,
     SplicingRule,
+    canonical_form,
     power,
     sigma_pair,
     valid_rules,
 )
+from graphsplice.graphs import DEFAULT_CANON_CAP
 
 
 def brute_canonical(g: PlfGraph):
@@ -135,3 +139,41 @@ def pairwise_iso_sweep(graphs):
                     if p.graph.order == g.order and not brute_isomorphic(p.graph, g):
                         exceptions += 1
     return instances, exceptions
+
+
+def naive_language(system, config):
+    """The bounded closure with one sigma_pair call per ordered pair of
+    in-cap classes and rule, skipping the pairs it refuses.
+
+    Returns (classes, trace, saturated): classes maps each canonical key,
+    in discovery order, to (first graph found, iteration); trace holds
+    (iteration, raw products, new classes, new oversize classes).
+    """
+    cap = max(2 * config.max_order, DEFAULT_CANON_CAP)
+    classes = {}
+    for g in system.axioms:
+        classes.setdefault(canonical_form(g, cap), (g, 0))
+    trace = [(0, 0, len(classes), 0)]
+    for it in range(1, config.max_iterations + 1):
+        reps = [g for g, _ in classes.values() if g.order <= config.max_order]
+        raw = 0
+        new = {}
+        for g in reps:
+            for h in reps:
+                for s in system.rules:
+                    try:
+                        products = sigma_pair(g, h, s)
+                    except (InvalidRuleError, NotApplicableError):
+                        continue
+                    raw += len(products)
+                    for p in products:
+                        key = canonical_form(p.graph, cap)
+                        if key not in classes and key not in new:
+                            new[key] = p.graph
+        for key, g in new.items():
+            classes[key] = (g, it)
+        overcap = sum(g.order > config.max_order for g in new.values())
+        trace.append((it, raw, len(new), overcap))
+        if not new:
+            return classes, trace, True
+    return classes, trace, False

@@ -147,12 +147,17 @@ def test_splice_creates_missing_out_directory(capsys, tmp_path):
 def test_splice_single_direction(capsys, tmp_path):
     c3 = tmp_path / "c3.plfg"
     main(["gen", "cycle", "3", "--out", str(c3)])
-    code, out = run_cli(
-        capsys, "splice", "--rule", "1,2:2,3",
-        "--direction", "first", str(c3), str(c3),
-    )
-    assert code == 0
-    assert json.loads(out)["count"] == 2
+    for direction, number in (("first", 1), ("second", 2)):
+        code, out = run_cli(
+            capsys, "splice", "--rule", "1,2:2,3",
+            "--direction", direction, str(c3), str(c3),
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["count"] == 2
+        assert [r["direction"] for r in payload["products"]] == [number, number]
+        assert [r["bijection"] for r in payload["products"]] == [[0, 1], [1, 0]]
+        assert [r["index"] for r in payload["products"]] == [1, 2]
 
 
 def test_splice_inapplicable_rule_exit(capsys, tmp_path):
@@ -206,6 +211,23 @@ def test_verify_reports_known_violation(capsys):
     reports = json.loads(out)
     assert reports[0]["status"] == "violated"
     assert reports[0]["extras"]["gap_rule_violations"] == 0
+
+
+def test_verify_rejects_max_order_below_one(capsys):
+    for argv in (["--max-order", "0"],
+                 ["--max-order", "-3", "--theorem", "power-formula"]):
+        assert main(["verify", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--max-order must be at least 1" in captured.err
+
+
+def test_verify_rejects_negative_max_power(capsys):
+    assert main(["verify", "--theorem", "order-bound", "--max-order", "2",
+                 "--max-power", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--max-power must be at least 0" in captured.err
 
 
 def test_verify_unknown_check(capsys):

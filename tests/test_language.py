@@ -1,15 +1,24 @@
+import importlib
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphsplice import (
+    CuttingRule,
+    PlfGraph,
+    SplicingRule,
     SystemDefinitionError,
     canonical_form,
     contains,
+    cut,
     cycle,
     double_edge,
     is_isomorphic,
     language,
     make_rule,
     path,
+    sigma_pair,
     sigma_step,
     to_plf,
 )
@@ -18,12 +27,35 @@ from graphsplice.language import (
     LanguageConfig,
     SplicingSystem,
 )
+from conftest import plf_graphs
+from oracles import naive_language
 
 RUNNING_RULE = make_rule((1, 2), (2, 3))
+
+# the axioms of the gap and split benchmark systems
+GAP_AXIOMS = (
+    PlfGraph(4, ((1, 2), (1, 3), (3, 4))),
+    PlfGraph(4, ((1, 2), (1, 4), (2, 3), (2, 4), (3, 4))),
+    PlfGraph(5, ((1, 2), (1, 5), (2, 5), (3, 4), (3, 5), (4, 5))),
+)
+GAP_RULES = tuple(make_rule((i, i + 1), (k, k + 1))
+                  for i in range(1, 4) for k in range(1, 4))
+SPLIT_RULES = GAP_RULES + tuple(make_rule((i, i), (k, k))
+                                for i in range(1, 4) for k in range(1, 4))
 
 
 def running_system():
     return SplicingSystem((cycle(3), cycle(4)), (RUNNING_RULE,))
+
+
+def assert_matches_oracle(system, config):
+    res = language(system, config)
+    classes, trace, saturated = naive_language(system, config)
+    assert list(res.classes) == list(classes)
+    assert {k: (i.representative, i.iteration) for k, i in res.classes.items()} == classes
+    assert [(t.iteration, t.raw_products, t.new_classes, t.new_overcap)
+            for t in res.trace] == trace
+    assert res.saturated == saturated
 
 
 def test_system_validation():
@@ -160,3 +192,72 @@ def test_class_info_is_frozen():
     info = ClassInfo(cycle(3), 0)
     with pytest.raises(AttributeError):
         info.iteration = 1
+
+
+@pytest.mark.parametrize("system, config", [
+    (running_system(), LanguageConfig(max_iterations=3, max_order=8)),
+    (SplicingSystem((cycle(3),), (RUNNING_RULE,)),
+     LanguageConfig(max_iterations=10, max_order=8)),
+    (SplicingSystem(GAP_AXIOMS, GAP_RULES),
+     LanguageConfig(max_iterations=3, max_order=5)),
+    (SplicingSystem(GAP_AXIOMS, SPLIT_RULES),
+     LanguageConfig(max_iterations=2, max_order=5)),
+    # a mixed gap/split rule that never recombines, one out of range for
+    # every axiom, and one that fits the larger axiom only
+    (SplicingSystem((path(3), cycle(4)),
+                    (make_rule((1, 2), (2, 2)), make_rule((6, 7), (1, 2)),
+                     make_rule((1, 1), (4, 4)), RUNNING_RULE)),
+     LanguageConfig(max_iterations=3, max_order=5)),
+], ids=["two-cycles", "triangle", "gap", "split", "mixed"])
+def test_closure_matches_naive_oracle(system, config):
+    assert_matches_oracle(system, config)
+
+
+def _splicing_rules(top=5):
+    """Rule pairs over positions 1..top: two in three cut alike (both
+    gaps or both vertex splits), the rest may mix the two."""
+    position = st.integers(min_value=1, max_value=top)
+
+    def rule(i, reflexive):
+        return CuttingRule(i, i if reflexive else i + 1)
+
+    alike = st.builds(lambda i, k, r: SplicingRule(rule(i, r), rule(k, r)),
+                      position, position, st.booleans())
+    free = st.builds(lambda i, k, r, q: SplicingRule(rule(i, r), rule(k, q)),
+                     position, position, st.booleans(), st.booleans())
+    return st.one_of(alike, alike, free)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(plf_graphs(min_order=2, max_order=4, max_edges=6, simple=True),
+                min_size=1, max_size=3),
+       st.lists(_splicing_rules(), min_size=1, max_size=3))
+def test_closure_matches_naive_oracle_on_drawn_systems(axioms, rules):
+    system = SplicingSystem(tuple(axioms), tuple(rules))
+    assert_matches_oracle(system, LanguageConfig(max_iterations=3, max_order=5))
+
+
+def test_each_graph_is_cut_once_per_rule(monkeypatch):
+    calls = []
+
+    def counting_cut(g, rule):
+        calls.append((g, rule))
+        return cut(g, rule)
+
+    for name in ("graphsplice.splicing", "graphsplice.language"):
+        monkeypatch.setattr(importlib.import_module(name), "cut", counting_cut,
+                            raising=False)
+    sigma_pair(cycle(3), cycle(4), RUNNING_RULE)
+    assert len(calls) == 2
+
+    calls.clear()
+    system = SplicingSystem(GAP_AXIOMS, SPLIT_RULES)
+    config = LanguageConfig(max_iterations=2, max_order=5)
+    res = language(system, config)
+    distinct = {c for s in system.rules for c in (s.first, s.second)}
+    bound = 0
+    for it in range(1, len(res.trace)):
+        reps = [i for i in res.classes.values()
+                if i.iteration < it and i.representative.order <= config.max_order]
+        bound += len(reps) * len(distinct)
+    assert 0 < len(calls) <= bound

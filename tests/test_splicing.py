@@ -7,7 +7,6 @@ from graphsplice import (
     JoinError,
     NotApplicableError,
     PlfGraph,
-    applicable,
     complete,
     cut,
     cycle,
@@ -18,8 +17,7 @@ from graphsplice import (
     max_product_order,
     path,
     power,
-    products_first,
-    products_second,
+    recombine,
     sigma_pair,
 )
 from graphsplice.cutting import valid_rules
@@ -28,6 +26,23 @@ from graphsplice.splicing import SplicingRule
 from conftest import plf_graphs
 
 RUNNING_RULE = make_rule((1, 2), (2, 3))
+
+
+def directed(g, h, s, direction):
+    """sigma_pair's products in one direction: 1 is Prefix(g)+Suffix(h),
+    2 is Prefix(h)+Suffix(g)."""
+    return [p for p in sigma_pair(g, h, s) if p.direction == direction]
+
+
+def recombinations(g, h):
+    """(rule, products) for every rule pair of g and h that recombines."""
+    for c1 in valid_rules(g):
+        if power(g, c1) > 3:
+            continue
+        for c2 in valid_rules(h):
+            prods = recombine(cut(g, c1), cut(h, c2))
+            if prods:
+                yield SplicingRule(c1, c2), prods
 
 
 def test_rule_construction_and_swap():
@@ -40,16 +55,20 @@ def test_rule_construction_and_swap():
 
 
 def test_applicability():
-    assert applicable(cycle(3), cycle(4), RUNNING_RULE)
+    assert recombine(cut(cycle(3), (1, 2)), cut(cycle(4), (2, 3)))
     # one side cuts a vertex, the other does not
-    assert not applicable(path(2), path(2), make_rule((1, 2), (1, 1)))
+    two_edges = PlfGraph(4, ((1, 2), (3, 4)))
+    assert recombine(cut(two_edges, (2, 3)), cut(path(2), (1, 1))) == []
     # powers 6 vs 1
-    assert not applicable(complete(5), path(2), make_rule((2, 3), (1, 2)))
+    assert recombine(cut(complete(5), (2, 3)), cut(path(2), (1, 2))) == []
 
 
 def test_products_require_applicability():
-    with pytest.raises(NotApplicableError):
-        products_first(complete(5), path(2), make_rule((2, 3), (1, 2)))
+    with pytest.raises(NotApplicableError, match="counts differ: 6 vs 1"):
+        sigma_pair(complete(5), path(2), make_rule((2, 3), (1, 2)))
+    two_edges = PlfGraph(4, ((1, 2), (3, 4)))
+    with pytest.raises(NotApplicableError, match="splits a vertex"):
+        sigma_pair(two_edges, path(2), make_rule((2, 3), (1, 1)))
 
 
 def test_running_example_class_outcomes():
@@ -58,32 +77,33 @@ def test_running_example_class_outcomes():
     c3, c4, c5 = cycle(3), cycle(4), cycle(5)
     d2 = double_edge()
     cases = [
-        (c3, c4, products_first, c3),
-        (c3, c4, products_second, c4),
-        (c4, c3, products_first, d2),
-        (c4, c3, products_second, c5),
-        (c3, c3, products_first, d2),
-        (c3, c3, products_second, c4),
-        (c4, c4, products_first, c3),
-        (c4, c4, products_second, c5),
+        (c3, c4, 1, c3),
+        (c3, c4, 2, c4),
+        (c4, c3, 1, d2),
+        (c4, c3, 2, c5),
+        (c3, c3, 1, d2),
+        (c3, c3, 2, c4),
+        (c4, c4, 1, c3),
+        (c4, c4, 2, c5),
     ]
     for g, h, direction, expected in cases:
-        products = direction(g, h, RUNNING_RULE)
+        products = directed(g, h, RUNNING_RULE, direction)
         assert len(products) == 2
         for p in products:
             assert is_isomorphic(p.graph, expected)
 
 
 def test_double_edge_product_is_exact():
-    products = products_first(cycle(4), cycle(3), RUNNING_RULE)
+    products = directed(cycle(4), cycle(3), RUNNING_RULE, 1)
     for p in products:
         assert p.graph == PlfGraph(2, ((1, 2), (1, 2)))
 
 
 def test_product_metadata():
-    first = products_first(cycle(3), cycle(4), RUNNING_RULE)
-    second = products_second(cycle(3), cycle(4), RUNNING_RULE)
+    first = directed(cycle(3), cycle(4), RUNNING_RULE, 1)
+    second = directed(cycle(3), cycle(4), RUNNING_RULE, 2)
     assert [p.bijection for p in first] == [(0, 1), (1, 0)]
+    assert [p.bijection for p in second] == [(0, 1), (1, 0)]
     assert all(p.direction == 1 for p in first)
     assert all(p.direction == 2 for p in second)
     assert all(p.rule == RUNNING_RULE for p in first + second)
@@ -97,7 +117,7 @@ def test_sigma_pair_concatenates_directions():
 
 def test_reflexive_point_merge():
     s = make_rule((2, 2), (1, 1))
-    prods = products_first(path(2), path(2), s)
+    prods = directed(path(2), path(2), s, 1)
     assert len(prods) == 1
     assert prods[0].graph == path(3)
 
@@ -105,7 +125,7 @@ def test_reflexive_point_merge():
 def test_zero_power_gap_cut_builds_disjoint_union():
     g = PlfGraph(4, ((1, 2), (3, 4)))
     s = make_rule((2, 3), (2, 3))
-    prods = products_first(g, g, s)
+    prods = directed(g, g, s, 1)
     assert len(prods) == 1
     assert prods[0].graph == g
 
@@ -113,7 +133,7 @@ def test_zero_power_gap_cut_builds_disjoint_union():
 def test_figure_eight_amalgamation():
     # gluing the last vertex of one triangle to the first of another
     s = make_rule((3, 3), (1, 1))
-    prods = products_first(cycle(3), cycle(3), s)
+    prods = directed(cycle(3), cycle(3), s, 1)
     assert len(prods) == 1
     p = prods[0].graph
     assert p.order == 5
@@ -123,7 +143,7 @@ def test_figure_eight_amalgamation():
 
 def test_max_product_order():
     assert max_product_order(cycle(3), cycle(4)) == 6
-    achieved = products_first(cycle(3), cycle(4), make_rule((3, 3), (1, 1)))
+    achieved = directed(cycle(3), cycle(4), make_rule((3, 3), (1, 1)), 1)
     assert achieved[0].graph.order == 6
 
 
@@ -159,61 +179,45 @@ def test_join_rebuilds_the_source_graph():
 @given(plf_graphs(max_order=5), plf_graphs(max_order=5))
 def test_product_count_and_order_bound(g, h):
     bound = max_product_order(g, h)
-    for c1 in valid_rules(g):
-        if power(g, c1) > 3:
-            continue
-        for c2 in valid_rules(h):
-            s = SplicingRule(c1, c2)
-            if not applicable(g, h, s):
-                continue
-            prods = sigma_pair(g, h, s)
-            assert len(prods) == 2 * factorial(power(g, c1))
-            for p in prods:
-                assert p.graph.order <= bound
+    for s, prods in recombinations(g, h):
+        assert prods == sigma_pair(g, h, s)
+        assert len(prods) == 2 * factorial(power(g, s.first))
+        for p in prods:
+            assert p.graph.order <= bound
 
 
 @settings(max_examples=40, deadline=None)
 @given(plf_graphs(max_order=4), plf_graphs(max_order=4))
 def test_reversal_identity(g, h):
-    for c1 in valid_rules(g):
-        if power(g, c1) > 3:
-            continue
-        for c2 in valid_rules(h):
-            s = SplicingRule(c1, c2)
-            if not applicable(g, h, s):
-                continue
-            forward = sorted(
-                canonical_form(p.graph) for p in products_first(g, h, s)
-            )
-            backward = sorted(
-                canonical_form(p.graph)
-                for p in products_second(h, g, s.swapped())
-            )
-            assert forward == backward
+    for s, _prods in recombinations(g, h):
+        forward = sorted(
+            canonical_form(p.graph) for p in directed(g, h, s, 1)
+        )
+        backward = sorted(
+            canonical_form(p.graph)
+            for p in directed(h, g, s.swapped(), 2)
+        )
+        assert forward == backward
 
 
 @settings(max_examples=40, deadline=None)
 @given(plf_graphs(max_order=4), plf_graphs(max_order=4))
 def test_degrees_survive_splicing(g, h):
-    for c1 in valid_rules(g):
-        if power(g, c1) > 3:
-            continue
-        for c2 in valid_rules(h):
-            s = SplicingRule(c1, c2)
-            if not applicable(g, h, s):
+    for s, prods in recombinations(g, h):
+        c1, c2 = s.first, s.second
+        merged = c1.reflexive
+        for p in prods:
+            if p.direction != 1:
                 continue
-            merged = c1.reflexive
-            for p in products_first(g, h, s):
-                f = p.graph
-                cut_g, cut_h = cut(g, c1), cut(h, c2)
-                p_end = cut_g.prefix.end
-                offset = f.order - h.order
-                for v in range(1, f.order + 1):
-                    if merged and v == p_end:
-                        expected = (g.left_degree(c1.i)
-                                    + h.right_degree(c2.i))
-                    elif v <= p_end:
-                        expected = g.degree(v)
-                    else:
-                        expected = h.degree(v - offset)
-                    assert f.degree(v) == expected
+            f = p.graph
+            p_end = cut(g, c1).prefix.end
+            offset = f.order - h.order
+            for v in range(1, f.order + 1):
+                if merged and v == p_end:
+                    expected = (g.left_degree(c1.i)
+                                + h.right_degree(c2.i))
+                elif v <= p_end:
+                    expected = g.degree(v)
+                else:
+                    expected = h.degree(v - offset)
+                assert f.degree(v) == expected
