@@ -33,6 +33,8 @@ _GENERATORS = {
     "complete": (complete, 1),
     "bipartite": (complete_bipartite, 2),
 }
+# largest order `gen` builds: the sum of its parameters (N, or a + b)
+GEN_ORDER_CAP = 500
 
 
 def _emit(payload) -> None:
@@ -89,6 +91,10 @@ def _cmd_gen(args) -> int:
         raise GraphSpliceError(
             f"generator {args.kind} takes {arity} parameter(s), "
             f"got {len(args.params)}"
+        )
+    if sum(args.params) > GEN_ORDER_CAP:
+        raise CapExceededError(
+            f"generated order {sum(args.params)} exceeds cap {GEN_ORDER_CAP}"
         )
     g = maker(*args.params)
     text = formats.write_graph(g)

@@ -16,6 +16,8 @@ from itertools import combinations, permutations
 from .errors import CapExceededError, InvalidGraphError, InvalidOrderingError
 
 DEFAULT_CANON_CAP = 10
+# nodes one canonical-form search may visit before it gives up
+CANON_NODE_BUDGET = 1_000_000
 
 Edge = tuple[int, int]
 
@@ -246,22 +248,34 @@ def is_connected(g: PlfGraph) -> bool:
     return len(seen) == g.order
 
 
-def _cmp_prefix(a, b, length):
-    for k in range(length):
-        if a[k] != b[k]:
-            return 1 if a[k] > b[k] else -1
-    return 0
-
-
 def _canonical_search(order: int, edges) -> bytes:
     """Smallest upper-triangle multiplicity vector over relabelings.
 
     Positions are ordered by non-increasing degree and each vertex may only
-    occupy a position whose target degree matches its own, which keeps the
-    search well below n! without affecting the minimum.  The vector lists
+    occupy a position whose target degree matches its own.  The vector lists
     multiplicities column by column: for each position p the entries
     (1,p), (2,p), ..., (p-1,p).  Two graphs get equal encodings iff they
     are isomorphic.
+
+    Three rules prune the search, and none of them changes the minimum:
+
+    - Minimum column.  Column p follows the placed prefix directly, and any
+      vertex of the right degree can still be completed to a full layout,
+      so the minimum below a node places at p a vertex whose column (its
+      multiplicities to the placed vertices) is the smallest there.  Only
+      the candidates that tie for that column are tried.
+    - One twin per class.  Twins are vertices whose multiplicity rows
+      agree outside the pair itself; the relation is transitive.  Swapping
+      two unplaced twins is an automorphism that fixes the prefix, so both
+      choices lead to the same set of vectors and one unplaced member of
+      each class is tried.
+    - Column bound.  `tight` says the prefix equals the best vector's
+      prefix so far; only then is the new column compared with the best
+      vector's column p.  Once a prefix is smaller, every completion of it
+      is smaller, and a new best found below a node makes that node tight.
+
+    The search visits at most CANON_NODE_BUDGET nodes and raises
+    CapExceededError past that.
     """
     n = order
     if n == 0:
@@ -279,35 +293,68 @@ def _canonical_search(order: int, edges) -> bytes:
     slot_candidates = [
         [v for v in range(n) if deg[v] == target[p]] for p in range(n)
     ]
-    vec_len = n * (n - 1) // 2
-    vec = [0] * vec_len
+    # twin[v] is the smallest member of v's twin class
+    twin = list(range(n))
+    for v in range(n):
+        for u in range(v):
+            if twin[u] == u and deg[u] == deg[v] and all(
+                mult[u][w] == mult[v][w] for w in range(n) if w != u and w != v
+            ):
+                twin[v] = u
+                break
+    vec = [0] * (n * (n - 1) // 2)
     assigned = [0] * n
     used = [False] * n
-    best: list | None = None
+    best: list = []
+    nodes = 0
 
-    def search(p, length):
-        nonlocal best
+    def search(p, pos, tight):
+        """Search below the prefix assigned[:p]; True when best changed."""
+        nonlocal best, nodes
+        nodes += 1
+        if nodes > CANON_NODE_BUDGET:
+            raise CapExceededError(
+                f"canonical form of order {n} needs more than "
+                f"{CANON_NODE_BUDGET} search nodes"
+            )
         if p == n:
-            if best is None or vec < best:
-                best = vec[:]
-            return
+            if tight:
+                return False
+            best = vec[:]
+            return True
+        placed = assigned[:p]
+        low = None
+        ties = []
         for v in slot_candidates[p]:
             if used[v]:
                 continue
             row = mult[v]
-            pos = length
-            for q in range(p):
-                vec[pos] = row[assigned[q]]
-                pos += 1
-            # prune any branch already lexicographically above the best
-            if best is not None and _cmp_prefix(vec, best, pos) > 0:
+            col = [row[a] for a in placed]
+            if low is None or col < low:
+                low, ties = col, [v]
+            elif col == low:
+                ties.append(v)
+        end = pos + p
+        if tight:
+            head = best[pos:end]
+            if low > head:
+                return False
+            tight = low == head
+        vec[pos:end] = low
+        changed = False
+        tried = set()
+        for v in ties:
+            if twin[v] in tried:
                 continue
+            tried.add(twin[v])
             used[v] = True
             assigned[p] = v
-            search(p + 1, pos)
+            if search(p + 1, end, tight):
+                changed = tight = True
             used[v] = False
+        return changed
 
-    search(0, 0)
+    search(0, 0, False)
     return f"{n}|".encode() + ",".join(map(str, best)).encode()
 
 
@@ -320,8 +367,12 @@ def canonical_form(g: PlfGraph, cap: int | None = None) -> bytes:
     """Isomorphism-complete encoding of g, searched once per distinct
     (order, edges) and cached.
 
-    cap bounds the order this is willing to canonicalize (the search is
-    worst-case factorial); pass a larger cap explicitly for bigger graphs.
+    cap bounds the order this is willing to canonicalize; pass a larger
+    cap explicitly for bigger graphs.  Twin pruning makes edgeless,
+    complete and complete bipartite graphs linear, but graphs without
+    twins such as long cycles still grow exponentially, so a search that
+    visits more than CANON_NODE_BUDGET nodes raises CapExceededError as
+    well.  A failed search is not cached.
     """
     limit = DEFAULT_CANON_CAP if cap is None else cap
     if g.order > limit:

@@ -1,10 +1,11 @@
 """Brute-force oracles the engine is tested against.
 
 Everything here is deliberately naive: permutation search for
-isomorphism, component counting for cycles, color enumeration for
-bipartiteness, one sigma_pair call per ordered pair and rule pair for
-the law sweeps and per ordered pair and rule for the closure.  Slow but
-obviously correct on small graphs.
+isomorphism, the unpruned degree-respecting canonical search, component
+counting for cycles, color enumeration for bipartiteness, one sigma_pair
+call per ordered pair and rule pair for the law sweeps and per ordered
+pair and rule for the closure.  Slow but obviously correct on small
+graphs.
 """
 
 from itertools import permutations
@@ -36,6 +37,74 @@ def brute_canonical(g: PlfGraph):
         if best is None or relabeled < best:
             best = relabeled
     return (n, best)
+
+
+def _cmp_prefix(a, b, length):
+    for k in range(length):
+        if a[k] != b[k]:
+            return 1 if a[k] > b[k] else -1
+    return 0
+
+
+# The canonical search as it was before column, twin and column-bound
+# pruning: every degree-respecting layout, cut only by a whole-prefix
+# comparison.  graphs._canonical_search must return the same bytes.
+def reference_canonical(order: int, edges) -> bytes:
+    """Smallest upper-triangle multiplicity vector over relabelings.
+
+    Positions are ordered by non-increasing degree and each vertex may only
+    occupy a position whose target degree matches its own, which keeps the
+    search well below n! without affecting the minimum.  The vector lists
+    multiplicities column by column: for each position p the entries
+    (1,p), (2,p), ..., (p-1,p).  Two graphs get equal encodings iff they
+    are isomorphic.
+    """
+    n = order
+    if n == 0:
+        return b"0|"
+    if n == 1:
+        return b"1|"
+    mult = [[0] * n for _ in range(n)]
+    deg = [0] * n
+    for u, v in edges:
+        mult[u - 1][v - 1] += 1
+        mult[v - 1][u - 1] += 1
+        deg[u - 1] += 1
+        deg[v - 1] += 1
+    target = sorted(deg, reverse=True)
+    slot_candidates = [
+        [v for v in range(n) if deg[v] == target[p]] for p in range(n)
+    ]
+    vec_len = n * (n - 1) // 2
+    vec = [0] * vec_len
+    assigned = [0] * n
+    used = [False] * n
+    best: list | None = None
+
+    def search(p, length):
+        nonlocal best
+        if p == n:
+            if best is None or vec < best:
+                best = vec[:]
+            return
+        for v in slot_candidates[p]:
+            if used[v]:
+                continue
+            row = mult[v]
+            pos = length
+            for q in range(p):
+                vec[pos] = row[assigned[q]]
+                pos += 1
+            # prune any branch already lexicographically above the best
+            if best is not None and _cmp_prefix(vec, best, pos) > 0:
+                continue
+            used[v] = True
+            assigned[p] = v
+            search(p + 1, pos)
+            used[v] = False
+
+    search(0, 0)
+    return f"{n}|".encode() + ",".join(map(str, best)).encode()
 
 
 def brute_isomorphic(g: PlfGraph, h: PlfGraph) -> bool:

@@ -4,7 +4,9 @@ import sys
 
 import pytest
 
-from graphsplice import cycle, to_plf
+import graphsplice.graphs as graphs_module
+from graphsplice import PlfGraph, cycle, to_plf
+from graphsplice import cli
 from graphsplice.cli import main
 from graphsplice.formats import parse_graph, write_graph
 
@@ -46,6 +48,26 @@ def test_gen_arity_error(capsys):
 
 def test_gen_domain_error(capsys):
     assert main(["gen", "cycle", "2"]) == 2
+
+
+@pytest.mark.parametrize("argv", [["complete", "100000"],
+                                  ["bipartite", "1000", "1000"]])
+def test_gen_order_cap(capsys, monkeypatch, argv):
+    built = []
+    for kind, (_, arity) in list(cli._GENERATORS.items()):
+        monkeypatch.setitem(cli._GENERATORS, kind,
+                            (lambda *p: built.append(p), arity))
+    assert main(["gen", *argv]) == 4
+    assert "exceeds cap" in capsys.readouterr().err
+    assert built == []
+
+
+def test_gen_at_the_order_cap(capsys):
+    n = cli.GEN_ORDER_CAP
+    code, out = run_cli(capsys, "gen", "path", str(n))
+    assert code == 0
+    assert parse_graph(out).order == n
+    assert main(["gen", "path", str(n + 1)]) == 4
 
 
 def test_cut_k5_payload(capsys, k5_file):
@@ -247,6 +269,28 @@ def test_iso_verdicts(capsys, tmp_path):
     code, out = run_cli(capsys, "iso", str(a), str(b))
     assert code == 0
     assert json.loads(out) == {"isomorphic": False}
+
+
+def test_iso_on_edgeless_order_10(capsys, tmp_path):
+    a = tmp_path / "a.plfg"
+    b = tmp_path / "b.plfg"
+    a.write_text(write_graph(PlfGraph(10, ())))
+    b.write_text(write_graph(PlfGraph(10, ())))
+    code, out = run_cli(capsys, "iso", str(a), str(b))
+    assert code == 0
+    assert json.loads(out) == {"isomorphic": True}
+
+
+def test_iso_search_budget_exit(capsys, monkeypatch, tmp_path):
+    a = tmp_path / "a.plfg"
+    b = tmp_path / "b.plfg"
+    a.write_text(write_graph(cycle(10)))
+    b.write_text(write_graph(to_plf(10, cycle(10).edges,
+                                    (2, 4, 6, 8, 10, 1, 3, 5, 7, 9))))
+    graphs_module._canon_cached.cache_clear()
+    monkeypatch.setattr(graphs_module, "CANON_NODE_BUDGET", 100)
+    assert main(["iso", str(a), str(b)]) == 4
+    assert "search nodes" in capsys.readouterr().err
 
 
 def test_export_dot(capsys, tmp_path):

@@ -1,7 +1,10 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
+
+import graphsplice.graphs as graphs_module
 
 from graphsplice import (
     CapExceededError,
@@ -32,6 +35,7 @@ from oracles import (
     brute_canonical,
     brute_isomorphic,
     cyclic_by_counting,
+    reference_canonical,
 )
 
 
@@ -303,3 +307,106 @@ def test_enumerate_simple_graphs_cap():
 def test_isomorphic_graphs_share_canonical_form(g):
     for h in all_relabelings(g):
         assert canonical_form(h) == canonical_form(g)
+
+
+def _search_matches_reference(g):
+    assert graphs_module._canonical_search(g.order, g.edges) == \
+        reference_canonical(g.order, g.edges), g
+
+
+def test_search_matches_reference_on_all_simple_graphs():
+    checked = 0
+    for n in range(7):
+        for g in enumerate_simple_graphs(n):
+            _search_matches_reference(g)
+            checked += 1
+    assert checked == 33868
+
+
+@settings(max_examples=150, deadline=None)
+@given(plf_graphs(min_order=1, max_order=8, max_edges=16))
+def test_search_matches_reference_on_multigraphs(g):
+    _search_matches_reference(g)
+
+
+def _disjoint_union(*parts):
+    edges = []
+    offset = 0
+    for g in parts:
+        edges.extend((u + offset, v + offset) for u, v in g.edges)
+        offset += g.order
+    return PlfGraph(offset, tuple(edges))
+
+
+def _cubic_graphs(n):
+    """Every layout of the n-cycle plus a perfect matching of chords.
+
+    A connected cubic graph of order at most 8 has a Hamiltonian cycle,
+    so these cover every connected cubic graph of order n."""
+    rim = {(i, i % n + 1) for i in range(1, n)} | {(1, n)}
+    chords = [e for e in combinations(range(1, n + 1), 2) if e not in rim]
+
+    def matchings(free):
+        if not free:
+            yield []
+            return
+        u = free[0]
+        for v in free[1:]:
+            if (u, v) in chords:
+                rest = [w for w in free if w not in (u, v)]
+                for m in matchings(rest):
+                    yield [(u, v)] + m
+
+    for m in matchings(list(range(1, n + 1))):
+        yield PlfGraph(n, tuple(sorted(rim)) + tuple(m))
+
+
+def test_search_matches_reference_on_symmetric_families():
+    rng = random.Random(2014)
+    family = [PlfGraph(n, ()) for n in range(9)]
+    family += [complete(n) for n in range(1, 9)]
+    family += [complete_bipartite(a, b)
+               for a in range(1, 9) for b in range(1, 10 - a)]
+    c3, c4 = cycle(3), cycle(4)
+    unions = [c3, c4, _disjoint_union(c3, c3), _disjoint_union(c3, c4),
+              _disjoint_union(c4, c3), _disjoint_union(c4, c4),
+              _disjoint_union(c3, c3, c3)]
+    for g in [cycle(n) for n in range(3, 11)] + unions:
+        family.append(g)
+        for _ in range(3):
+            layout = list(range(1, g.order + 1))
+            rng.shuffle(layout)
+            family.append(relabel(g, tuple(layout)))
+    cubic_classes = {}
+    for n in (4, 6, 8):
+        for g in _cubic_graphs(n):
+            family.append(g)
+            cubic_classes.setdefault(n, set()).add(
+                reference_canonical(g.order, g.edges))
+    two_k4 = _disjoint_union(complete(4), complete(4))
+    family.append(two_k4)
+    # K4; K_{3,3} and the prism; the five connected cubic graphs of order 8
+    assert {n: len(keys) for n, keys in cubic_classes.items()} == {4: 1, 6: 2, 8: 5}
+    for g in family:
+        _search_matches_reference(g)
+
+
+def test_search_node_budget(monkeypatch):
+    c12 = cycle(12)
+    graphs_module._canon_cached.cache_clear()
+    monkeypatch.setattr(graphs_module, "CANON_NODE_BUDGET", 100)
+    with pytest.raises(CapExceededError, match="search nodes"):
+        canonical_form(c12, cap=12)
+    monkeypatch.undo()
+    # the failure is not cached: the real budget finishes the search
+    assert canonical_form(c12, cap=12) == reference_canonical(12, c12.edges)
+
+
+def test_twin_classes_search_in_linear_nodes(monkeypatch):
+    # edgeless and complete graphs are one twin class: one node per position
+    monkeypatch.setattr(graphs_module, "CANON_NODE_BUDGET", 21)
+    assert graphs_module._canonical_search(20, ()) == b"20|" + b",".join(
+        [b"0"] * 190)
+    k20 = complete(20)
+    assert graphs_module._canonical_search(20, k20.edges) == b"20|" + b",".join(
+        [b"1"] * 190)

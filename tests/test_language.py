@@ -159,6 +159,23 @@ def test_triangle_closure_saturates():
     assert max(g.representative.order for g in res.classes.values()) == 9
 
 
+def test_edgeless_system_finishes():
+    """Edgeless axiom, two gap rules, max-order 10: every product is
+    edgeless, a single twin class, so each canonical form takes one
+    search node per vertex."""
+    system = SplicingSystem((PlfGraph(4, ()),),
+                            (make_rule((2, 3), (1, 2)), make_rule((3, 4), (1, 2))))
+    res = language(system, LanguageConfig(max_iterations=4, max_order=10))
+    assert len(res) == 11
+    assert [t.raw_products for t in res.trace] == [0, 4, 70, 154, 270]
+    assert [t.new_classes for t in res.trace] == [1, 4, 2, 2, 2]
+    assert [t.new_overcap for t in res.trace] == [0, 0, 0, 0, 2]
+    assert not res.saturated
+    assert sorted(i.representative.order for i in res.classes.values()) == \
+        list(range(2, 13))
+    assert all(i.representative.size == 0 for i in res.classes.values())
+
+
 def test_truncation_is_flagged():
     system = SplicingSystem((cycle(3),), (RUNNING_RULE,))
     res = language(system, LanguageConfig(max_iterations=3, max_order=8))
