@@ -183,22 +183,6 @@ def _cmd_lang(args) -> int:
     return 0
 
 
-_CHECKERS = {
-    "power-formula": lambda n, p: [analysis.check_power_formula(n)],
-    "degree-balance": lambda n, p: [analysis.check_degree_balance(n)],
-    "cycle-certificate": lambda n, p: [analysis.check_cycle_theorem(n)],
-    "iso-order": lambda n, p: [
-        analysis.check_iso_splice(min(n, analysis.PAIR_SWEEP_CAP))
-    ],
-    "bipartite-full-power": lambda n, p: [analysis.check_bipartite_criterion(n)],
-}
-_SPLICE_GROUP = (
-    "product-count", "reversal", "degree-preservation", "order-bound",
-    "noncommutativity", "regularity-preservation", "kn-degree-symmetry",
-    "simplicity-nonclosure",
-)
-
-
 def _cmd_verify(args) -> int:
     if args.max_order < 1:
         raise GraphSpliceError(f"--max-order must be at least 1, got {args.max_order}")
@@ -206,18 +190,9 @@ def _cmd_verify(args) -> int:
         raise GraphSpliceError(f"--max-power must be at least 0, got {args.max_power}")
     if args.theorem is None:
         reports = analysis.verify_all(args.max_order, args.max_power)
-    elif args.theorem in _CHECKERS:
-        reports = _CHECKERS[args.theorem](args.max_order, args.max_power)
-    elif args.theorem in _SPLICE_GROUP:
-        group = analysis.check_splice_theorems(
-            min(args.max_order, analysis.PAIR_SWEEP_CAP), args.max_power
-        )
-        reports = [r for r in group if r.check_id == args.theorem]
     else:
-        known = sorted(list(_CHECKERS) + list(_SPLICE_GROUP))
-        raise GraphSpliceError(
-            f"unknown check {args.theorem!r}; known: {', '.join(known)}"
-        )
+        reports = [analysis.verify_check(args.theorem, args.max_order,
+                                         args.max_power)]
     _emit([r.to_dict() for r in reports])
     return 0 if all(r.ok for r in reports) else 1
 

@@ -100,7 +100,7 @@ def parse_system(text: str) -> tuple[SplicingSystem, LanguageConfig]:
         raise ParseError(f"expected '{SYSTEM_MAGIC}' header", num)
     axioms: list[PlfGraph] = []
     rules: list[SplicingRule] = []
-    caps = {"max-iterations": None, "max-order": None}
+    caps: dict[str, int] = {}  # LanguageConfig fields the file sets
     for num, line in directives[1:]:
         fields = line.split()
         if fields[0] == "axiom":
@@ -125,18 +125,13 @@ def parse_system(text: str) -> tuple[SplicingSystem, LanguageConfig]:
                 raise ParseError("rule line must be 'rule I,J : K,L'", num)
             rules.append(SplicingRule(_parse_cut(fields[1], num),
                                       _parse_cut(fields[3], num)))
-        elif fields[0] in caps and len(fields) == 2:
-            caps[fields[0]] = _int(fields[1], num, fields[0])
+        elif fields[0] in ("max-iterations", "max-order") and len(fields) == 2:
+            caps[fields[0].replace("-", "_")] = _int(fields[1], num, fields[0])
         else:
             raise ParseError(f"unknown directive {line!r}", num)
     try:
         system = SplicingSystem(tuple(axioms), tuple(rules))
-        config = LanguageConfig(
-            max_iterations=(caps["max-iterations"]
-                            if caps["max-iterations"] is not None else 4),
-            max_order=(caps["max-order"]
-                       if caps["max-order"] is not None else 8),
-        )
+        config = LanguageConfig(**caps)
         config.check_fits(system)
     except GraphSpliceError as exc:
         raise ParseError(str(exc)) from None

@@ -99,22 +99,23 @@ def sigma_step(graphs, system: SplicingSystem) -> dict[bytes, PlfGraph]:
     does not fit (positions out of range) or cannot recombine contribute
     nothing.  Returns the product classes only, keyed by canonical form.
     """
-    reps = list(graphs)
-    biggest = max((g.order for g in reps), default=0)
-    cap = max(2 * biggest, DEFAULT_CANON_CAP)
-    classes, _raw = _step(reps, system, cap)
-    return {key: info.representative for key, info in classes.items()}
+    return _step(list(graphs), system)[0]
 
 
-def _step(reps, system, cap):
-    """All products of ordered pairs of reps; cap bounds canonicalization.
+def _step(reps, system):
+    """The product classes of all ordered pairs of reps, {key: first
+    product found}, and the number of products built.
 
     Each rep is cut once per distinct cutting rule that fits its order; a
-    (pair, rule) missing a cut, or whose cuts do not recombine, adds nothing.
+    (pair, rule) missing a cut, or whose cuts do not recombine, adds
+    nothing.  Products reach order 2*max(order) - 1 at most, which bounds
+    canonicalization.
     """
+    biggest = max((g.order for g in reps), default=0)
+    cap = max(2 * biggest, DEFAULT_CANON_CAP)
     cutting_rules = {c for s in system.rules for c in (s.first, s.second)}
     tables = [{c: cut(g, c) for c in cutting_rules if c.fits(g)} for g in reps]
-    found: dict[bytes, ClassInfo] = {}
+    found: dict[bytes, PlfGraph] = {}
     raw = 0
     for g_cuts in tables:
         for h_cuts in tables:
@@ -126,9 +127,7 @@ def _step(reps, system, cap):
                 products = recombine(cg, ch)
                 raw += len(products)
                 for prod in products:
-                    key = canonical_form(prod.graph, cap)
-                    if key not in found:
-                        found[key] = ClassInfo(prod.graph, -1)
+                    found.setdefault(canonical_form(prod.graph, cap), prod.graph)
     return found, raw
 
 
@@ -160,14 +159,14 @@ def language(system: SplicingSystem, config: LanguageConfig | None = None) -> La
             info.representative for info in classes.values()
             if info.representative.order <= config.max_order
         ]
-        found, raw = _step(reps, system, cap)
+        found, raw = _step(reps, system)
         new = overcap = 0
-        for key, info in found.items():
+        for key, g in found.items():
             if key in classes:
                 continue
-            classes[key] = ClassInfo(info.representative, it)
+            classes[key] = ClassInfo(g, it)
             new += 1
-            if info.representative.order > config.max_order:
+            if g.order > config.max_order:
                 overcap += 1
         trace.append(IterationTrace(it, raw, new, overcap))
         if new == 0:

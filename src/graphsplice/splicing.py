@@ -16,11 +16,16 @@ from dataclasses import dataclass
 from itertools import permutations
 
 from .cutting import CutResult, CuttingRule, Fragment, as_rule, cut
-from .errors import JoinError, NotApplicableError
+from .errors import CapExceededError, JoinError, NotApplicableError
 from .graphs import PlfGraph
 
 # A recombination maps prefix hanging-edge index t to suffix index r[t].
 Recombination = tuple[int, ...]
+
+# largest power recombine splices: 2(m!) products, so each step up
+# multiplies time and memory by about m; two power-8 stars give 80,640
+# products in 1.4 s and 85 MB (2-core machine, Python 3.11)
+SPLICE_POWER_CAP = 8
 
 
 @dataclass(frozen=True)
@@ -103,10 +108,15 @@ def recombine(cg: CutResult, ch: CutResult) -> list[SpliceProduct]:
     Suffix(G), each over the m! bijections in lexicographic order on the
     sorted hanging lists; m = 0 yields one product per direction (a
     disjoint union, or a one-point amalgamation when the cuts split
-    vertices).  Cuts that cannot recombine yield no product at all.
+    vertices).  Cuts that cannot recombine yield no product at all; a
+    power above SPLICE_POWER_CAP raises CapExceededError.
     """
     if _compatible(cg, ch) is not None:
         return []
+    if cg.power > SPLICE_POWER_CAP:
+        raise CapExceededError(
+            f"splice power {cg.power} exceeds cap {SPLICE_POWER_CAP}"
+        )
     rule = SplicingRule(cg.rule, ch.rule)
     bijections = list(permutations(range(cg.power)))
     return [

@@ -38,6 +38,10 @@ from graphsplice import (
     sigma_pair,
 )
 from graphsplice.analysis import (
+    _kn_symmetry_report,
+    _noncommutativity_report,
+    _regularity_report,
+    _simplicity_report,
     check_bipartite_criterion,
     check_cycle_theorem,
     check_degree_balance,
@@ -158,8 +162,8 @@ def test_criterion_07_degree_preservation(law_sweep):
     "degree; splitting two triangles at their extreme vertices is the "
     "smallest counterexample",
 )
-def test_criterion_08_regularity_preservation(law_sweep):
-    rep = law_sweep["regularity-preservation"]
+def test_criterion_08_regularity_preservation():
+    rep = _regularity_report()
     detail = (
         f"{rep.extras['violations_total']} non-regular products, all from "
         f"vertex-splitting rule pairs (straddling rules: "
@@ -181,8 +185,8 @@ def test_criterion_09_order_bound(law_sweep):
     assert ok, rep.to_dict()
 
 
-def test_criterion_10_complete_graph_symmetry(law_sweep):
-    rep = law_sweep["kn-degree-symmetry"]
+def test_criterion_10_complete_graph_symmetry():
+    rep = _kn_symmetry_report()
     direct = True
     for n in range(1, 9):
         prof = degree_profile(complete(n))
@@ -194,9 +198,9 @@ def test_criterion_10_complete_graph_symmetry(law_sweep):
     assert ok, rep.to_dict()
 
 
-def test_criterion_11_noncommutativity_and_simplicity(law_sweep):
-    nc = law_sweep["noncommutativity"]
-    sp = law_sweep["simplicity-nonclosure"]
+def test_criterion_11_noncommutativity_and_simplicity():
+    nc = _noncommutativity_report()
+    sp = _simplicity_report()
     forward = {canonical_form(p.graph)
                for p in sigma_pair(cycle(3), cycle(4), RULE_12_23)}
     backward = {canonical_form(p.graph)

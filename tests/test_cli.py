@@ -6,7 +6,7 @@ import pytest
 
 import graphsplice.graphs as graphs_module
 from graphsplice import PlfGraph, cycle, to_plf
-from graphsplice import cli
+from graphsplice import analysis, cli, splicing
 from graphsplice.cli import main
 from graphsplice.formats import parse_graph, write_graph
 
@@ -182,6 +182,19 @@ def test_splice_single_direction(capsys, tmp_path):
         assert [r["index"] for r in payload["products"]] == [1, 2]
 
 
+def test_splice_power_cap_exit(capsys, monkeypatch, tmp_path):
+    # K4 cut at [1,2] or [3,4] severs three edges
+    def no_join(*args):
+        raise AssertionError("join ran")
+
+    monkeypatch.setattr(splicing, "SPLICE_POWER_CAP", 2)
+    monkeypatch.setattr(splicing, "join", no_join)
+    k4 = tmp_path / "k4.plfg"
+    main(["gen", "complete", "4", "--out", str(k4)])
+    assert main(["splice", "--rule", "1,2:3,4", str(k4), str(k4)]) == 4
+    assert "splice power 3 exceeds cap 2" in capsys.readouterr().err
+
+
 def test_splice_inapplicable_rule_exit(capsys, tmp_path):
     c3 = tmp_path / "c3.plfg"
     main(["gen", "cycle", "3", "--out", str(c3)])
@@ -254,6 +267,36 @@ def test_verify_rejects_negative_max_power(capsys):
 
 def test_verify_unknown_check(capsys):
     assert main(["verify", "--theorem", "flat-earth"]) == 2
+
+
+@pytest.fixture(scope="module")
+def reports_at_order_3():
+    return {r.check_id: r for r in analysis.verify_all(3, 3)}
+
+
+@pytest.mark.parametrize("check_id",
+                         [i for ids, _run in analysis.CHECKS for i in ids])
+def test_verify_theorem_matches_verify_all(capsys, reports_at_order_3, check_id):
+    code, out = run_cli(capsys, "verify", "--theorem", check_id,
+                        "--max-order", "3")
+    report = reports_at_order_3[check_id]
+    assert code == (0 if report.ok else 1)
+    assert json.loads(out) == json.loads(json.dumps([report.to_dict()]))
+
+
+@pytest.mark.parametrize("check_id", ["noncommutativity",
+                                      "regularity-preservation",
+                                      "kn-degree-symmetry",
+                                      "simplicity-nonclosure"])
+def test_witness_checks_run_without_the_law_sweep(capsys, monkeypatch, check_id):
+    def no_sweep(*args):
+        raise AssertionError("the law sweep ran")
+
+    monkeypatch.setattr(analysis, "check_splice_theorems", no_sweep)
+    code, out = run_cli(capsys, "verify", "--theorem", check_id)
+    [report] = json.loads(out)
+    assert report["check"] == check_id
+    assert code == (1 if check_id == "regularity-preservation" else 0)
 
 
 def test_iso_verdicts(capsys, tmp_path):

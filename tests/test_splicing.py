@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from graphsplice import (
+    CapExceededError,
     JoinError,
     NotApplicableError,
     PlfGraph,
@@ -22,6 +23,7 @@ from graphsplice import (
 )
 from graphsplice.cutting import valid_rules
 from graphsplice.graphs import canonical_form
+from graphsplice import splicing
 from graphsplice.splicing import SplicingRule
 from conftest import plf_graphs
 
@@ -61,6 +63,15 @@ def test_applicability():
     assert recombine(cut(two_edges, (2, 3)), cut(path(2), (1, 1))) == []
     # powers 6 vs 1
     assert recombine(cut(complete(5), (2, 3)), cut(path(2), (1, 2))) == []
+
+
+def test_recombine_power_cap(monkeypatch):
+    monkeypatch.setattr(splicing, "SPLICE_POWER_CAP", 2)
+    # C3 cut at [1,2] or [2,3] severs two edges: at the cap, 2(2!) products
+    assert len(recombine(cut(cycle(3), (1, 2)), cut(cycle(3), (2, 3)))) == 4
+    # K4 cut at [1,2] or [3,4] severs three
+    with pytest.raises(CapExceededError):
+        recombine(cut(complete(4), (1, 2)), cut(complete(4), (3, 4)))
 
 
 def test_products_require_applicability():
