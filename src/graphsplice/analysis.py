@@ -29,7 +29,7 @@ from .graphs import (
     is_regular,
     is_simple,
 )
-from .splicing import join, make_rule, recombine, sigma_pair
+from .splicing import fragment_key, join, make_rule, recombine, sigma_pair
 
 SAMPLE_CAP = 20
 CONVERSE_SAMPLE_CAP = 50
@@ -145,10 +145,10 @@ def _cut_groups(graphs, max_power: int | None = None):
     """Cut every graph by every rule once and group the fragments.
 
     Returns {(reflexive, power): (prefix groups, suffix groups)}.  A
-    fragment is keyed by what join reads (retained span, intact edges,
-    hanging anchors in order) and by the source degrees the degree law
-    expects; a half-vertex counts ld(i) on the prefix side and rd(i) on
-    the suffix side, because the merged vertex gets ld(i) + rd(j).
+    fragment is keyed by what join reads (fragment_key) and by the source
+    degrees the degree law expects; a half-vertex counts ld(i) on the
+    prefix side and rd(i) on the suffix side, because the merged vertex
+    gets ld(i) + rd(j).
     """
     out: dict = {}
     for g in graphs:
@@ -165,8 +165,7 @@ def _cut_groups(graphs, max_power: int | None = None):
             sides = out.setdefault((rule.reflexive, c.power), ({}, {}))
             fragments = ((c.prefix, pre_deg), (c.suffix, suf_deg))
             for groups, (frag, deg) in zip(sides, fragments):
-                key = (frag.start, frag.end, frag.intact,
-                       tuple(h.anchor for h in frag.hanging), deg)
+                key = (fragment_key(frag), deg)
                 group = groups.get(key)
                 if group is None:
                     group = groups[key] = _CutGroup(c, deg)

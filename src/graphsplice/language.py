@@ -6,16 +6,23 @@ is infinite in general, so the computation is bounded two ways: graphs
 above max_order are recorded but never fed back in, and iteration stops
 at max_iterations even without a fixpoint.  Classes are isomorphism
 classes, keyed by canonical form.
+
+The closure is evaluated semi-naively: each iteration visits only the
+ordered pairs that involve a class new since the previous one, and a
+run joins each distinct (prefix fragment, suffix fragment) pair once,
+because every product depends on that pair alone.  raw_products still
+counts the logical products over all ordered pairs of each iteration.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import factorial
 
 from .cutting import cut
 from .errors import SystemDefinitionError
 from .graphs import DEFAULT_CANON_CAP, PlfGraph, canonical_form, is_simple
-from .splicing import SplicingRule, recombine
+from .splicing import SplicingRule, fragment_key, join_all
 
 DEFAULT_MAX_ITERATIONS = 4
 DEFAULT_MAX_ORDER = 8
@@ -74,6 +81,7 @@ class IterationTrace:
     raw_products: int
     new_classes: int
     new_overcap: int  # of the new classes, how many exceed max_order
+    joins: int  # products actually built; the rest were known already
 
 
 @dataclass(frozen=True)
@@ -99,36 +107,76 @@ def sigma_step(graphs, system: SplicingSystem) -> dict[bytes, PlfGraph]:
     does not fit (positions out of range) or cannot recombine contribute
     nothing.  Returns the product classes only, keyed by canonical form.
     """
-    return _step(list(graphs), system)[0]
+    splicer = _Splicer(system)
+    for g in graphs:
+        splicer.add(g)
+    return splicer.step(0)[0]
 
 
-def _step(reps, system):
-    """The product classes of all ordered pairs of reps, {key: first
-    product found}, and the number of products built.
+class _Splicer:
+    """The cut tables and joined fragment pairs of one closure run.
 
-    Each rep is cut once per distinct cutting rule that fits its order; a
-    (pair, rule) missing a cut, or whose cuts do not recombine, adds
-    nothing.  Products reach order 2*max(order) - 1 at most, which bounds
-    canonicalization.
+    Each added graph is cut once per distinct cutting rule that fits its
+    order; tables are indexed by cutting-rule number, and each entry
+    keeps the cut's shape (power, split or not) and, for each fragment,
+    its fragment key and the fragment itself.
     """
-    biggest = max((g.order for g in reps), default=0)
-    cap = max(2 * biggest, DEFAULT_CANON_CAP)
-    cutting_rules = {c for s in system.rules for c in (s.first, s.second)}
-    tables = [{c: cut(g, c) for c in cutting_rules if c.fits(g)} for g in reps]
-    found: dict[bytes, PlfGraph] = {}
-    raw = 0
-    for g_cuts in tables:
-        for h_cuts in tables:
-            for s in system.rules:
-                cg = g_cuts.get(s.first)
-                ch = h_cuts.get(s.second)
-                if cg is None or ch is None:
-                    continue
-                products = recombine(cg, ch)
-                raw += len(products)
-                for prod in products:
-                    found.setdefault(canonical_form(prod.graph, cap), prod.graph)
-    return found, raw
+
+    def __init__(self, system: SplicingSystem):
+        cutting = list(dict.fromkeys(
+            c for s in system.rules for c in (s.first, s.second)))
+        number = {c: k for k, c in enumerate(cutting)}
+        self.cutting = cutting
+        self.rules = [(number[s.first], number[s.second]) for s in system.rules]
+        self.tables: list[list] = []
+        self.joined: set[tuple] = set()
+        self.biggest = 0
+
+    def add(self, g: PlfGraph) -> None:
+        table = []
+        for c in self.cutting:
+            if not c.fits(g):
+                table.append(None)
+                continue
+            cg = cut(g, c)
+            table.append(((cg.power, cg.vcut is None),
+                          (fragment_key(cg.prefix), cg.prefix),
+                          (fragment_key(cg.suffix), cg.suffix)))
+        self.tables.append(table)
+        self.biggest = max(self.biggest, g.order)
+
+    def step(self, old: int) -> tuple[dict[bytes, PlfGraph], int, int]:
+        """Splice the ordered pairs of added graphs that are not both
+        among the first old, in (first, second, rule) order.
+
+        Returns {key: first product found} over the fragment pairs not
+        joined before in this run, the number of logical products of the
+        visited pairs (2(m!) per pair and rule that recombine) and the
+        number of products built.  Products reach order 2*max(order) - 1
+        at most, which bounds canonicalization.
+        """
+        cap = max(2 * self.biggest, DEFAULT_CANON_CAP)
+        tables = self.tables
+        found: dict[bytes, PlfGraph] = {}
+        raw = joins = 0
+        for i, g_cuts in enumerate(tables):
+            for h_cuts in tables[old if i < old else 0:]:
+                for a, b in self.rules:
+                    cg = g_cuts[a]
+                    ch = h_cuts[b]
+                    if cg is None or ch is None or cg[0] != ch[0]:
+                        continue
+                    raw += 2 * factorial(cg[0][0])
+                    for (pkey, prefix), (skey, suffix) in ((cg[1], ch[2]),
+                                                           (ch[1], cg[2])):
+                        if (pkey, skey) in self.joined:
+                            continue
+                        self.joined.add((pkey, skey))
+                        products = join_all(prefix, suffix)
+                        joins += len(products)
+                        for prod in products:
+                            found.setdefault(canonical_form(prod, cap), prod)
+        return found, raw, joins
 
 
 def language(system: SplicingSystem, config: LanguageConfig | None = None) -> LanguageResult:
@@ -140,6 +188,14 @@ def language(system: SplicingSystem, config: LanguageConfig | None = None) -> La
     classes but never re-spliced.  Saturation means an iteration added
     no class at all, so the recorded set is complete for the given
     max_order; hitting max_iterations first leaves saturated False.
+
+    Only pairs that involve a class new since the previous iteration can
+    make a new class, so only those are visited, and each distinct
+    fragment pair is joined once per run: the classes and the first
+    product found for each are those of splicing every pair every
+    iteration.  raw_products counts the logical products over all
+    ordered pairs, those not visited included; joins counts the products
+    actually built.
     """
     if config is None:
         config = LanguageConfig()
@@ -151,25 +207,32 @@ def language(system: SplicingSystem, config: LanguageConfig | None = None) -> La
         key = canonical_form(g, cap)
         if key not in classes:
             classes[key] = ClassInfo(g, 0)
-    trace = [IterationTrace(0, 0, len(classes), 0)]
+    trace = [IterationTrace(0, 0, len(classes), 0, 0)]
     saturated = False
 
+    splicer = _Splicer(system)
+    fresh = [info.representative for info in classes.values()]
+    raw = 0
     for it in range(1, config.max_iterations + 1):
-        reps = [
-            info.representative for info in classes.values()
-            if info.representative.order <= config.max_order
-        ]
-        found, raw = _step(reps, system)
-        new = overcap = 0
+        # classes only grow, so the old in-cap classes stay a prefix
+        old = len(splicer.tables)
+        for g in fresh:
+            if g.order <= config.max_order:
+                splicer.add(g)
+        found, visited, joins = splicer.step(old)
+        # the pairs not visited are exactly those of the previous iteration
+        raw += visited
+        fresh = []
+        overcap = 0
         for key, g in found.items():
             if key in classes:
                 continue
             classes[key] = ClassInfo(g, it)
-            new += 1
+            fresh.append(g)
             if g.order > config.max_order:
                 overcap += 1
-        trace.append(IterationTrace(it, raw, new, overcap))
-        if new == 0:
+        trace.append(IterationTrace(it, raw, len(fresh), overcap, joins))
+        if not fresh:
             saturated = True
             break
 

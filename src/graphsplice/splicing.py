@@ -5,9 +5,10 @@ once each, then rejoins the four fragments crosswise: the first
 direction keeps Prefix(G) and Suffix(H), the second keeps Prefix(H) and
 Suffix(G).  With m hanging edges per fragment there are m! bijections per
 direction, hence 2(m!) products, every one of which is emitted with its
-provenance.  recombine is the one splice path: sigma_pair feeds it two
-fresh cuts, while the closure and the regularity report feed it cuts
-looked up in per-graph tables.
+provenance.  join_all is the one splice path: recombine runs it for
+both directions of two cuts (sigma_pair feeds it fresh cuts, the
+regularity report cuts from per-graph tables), and the closure runs it
+once per distinct fragment pair, keyed by fragment_key.
 """
 
 from __future__ import annotations
@@ -101,6 +102,27 @@ def join(prefix: Fragment, suffix: Fragment, r: Recombination) -> PlfGraph:
     return PlfGraph(order, tuple(edges))
 
 
+def fragment_key(frag: Fragment) -> tuple:
+    """What join reads of a fragment: its retained span, intact edges,
+    hanging anchors in order and whether it keeps a half-vertex.
+
+    Two prefixes (or two suffixes) with equal keys join every partner
+    into the same graphs.  A prefix always starts at 1, so its start
+    adds nothing to the key.
+    """
+    return (frag.start, frag.end, frag.intact,
+            tuple(h.anchor for h in frag.hanging), frag.half_vertex is not None)
+
+
+def join_all(prefix: Fragment, suffix: Fragment) -> list[PlfGraph]:
+    """join over all m! bijections, in lexicographic order; a power above
+    SPLICE_POWER_CAP raises CapExceededError before any join runs."""
+    m = len(prefix.hanging)
+    if m > SPLICE_POWER_CAP:
+        raise CapExceededError(f"splice power {m} exceeds cap {SPLICE_POWER_CAP}")
+    return [join(prefix, suffix, r) for r in permutations(range(m))]
+
+
 def recombine(cg: CutResult, ch: CutResult) -> list[SpliceProduct]:
     """Both directions from the cuts of G by c1 and of H by c2.
 
@@ -113,17 +135,13 @@ def recombine(cg: CutResult, ch: CutResult) -> list[SpliceProduct]:
     """
     if _compatible(cg, ch) is not None:
         return []
-    if cg.power > SPLICE_POWER_CAP:
-        raise CapExceededError(
-            f"splice power {cg.power} exceeds cap {SPLICE_POWER_CAP}"
-        )
     rule = SplicingRule(cg.rule, ch.rule)
-    bijections = list(permutations(range(cg.power)))
-    return [
-        SpliceProduct(join(pre.prefix, suf.suffix, r), direction, r, rule)
-        for direction, pre, suf in ((1, cg, ch), (2, ch, cg))
-        for r in bijections
-    ]
+    products = []
+    for direction, pre, suf in ((1, cg, ch), (2, ch, cg)):
+        built = join_all(pre.prefix, suf.suffix)
+        products.extend(SpliceProduct(g, direction, r, rule) for r, g
+                        in zip(permutations(range(cg.power)), built))
+    return products
 
 
 def sigma_pair(g: PlfGraph, h: PlfGraph, s: SplicingRule) -> list[SpliceProduct]:

@@ -1,12 +1,27 @@
-"""Shared strategies and the acceptance summary hook."""
+"""Shared strategies, the child-process environment and the acceptance
+summary hook."""
+
+import os
+from pathlib import Path
 
 from hypothesis import strategies as st
 
+import graphsplice
 from graphsplice import PlfGraph
 
 # acceptance tests append (criterion number, label, passed, detail) here;
 # the terminal summary prints one line per criterion after the test run
 ACCEPTANCE_RESULTS = []
+
+
+def child_env():
+    """The environment for a child `python -m graphsplice`: PYTHONPATH
+    starts with the src directory of the package these tests import, so
+    the child runs the same code from a plain checkout."""
+    src = str(Path(graphsplice.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return env
 
 
 def edge_pairs(order):

@@ -51,7 +51,7 @@ from graphsplice.analysis import (
 )
 from graphsplice.cli import main
 from graphsplice.formats import parse_graph, to_dot, write_graph, write_system
-from conftest import ACCEPTANCE_RESULTS
+from conftest import ACCEPTANCE_RESULTS, child_env
 
 RULE_12_23 = make_rule((1, 2), (2, 3))
 
@@ -275,7 +275,7 @@ def test_criterion_15_closure_determinism(tmp_path):
     runs = [
         subprocess.run(
             [sys.executable, "-m", "graphsplice", "lang", str(sys_file)],
-            capture_output=True,
+            capture_output=True, env=child_env(),
         )
         for _ in range(2)
     ]

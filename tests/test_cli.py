@@ -9,6 +9,7 @@ from graphsplice import PlfGraph, cycle, to_plf
 from graphsplice import analysis, cli, splicing
 from graphsplice.cli import main
 from graphsplice.formats import parse_graph, write_graph
+from conftest import child_env
 
 
 @pytest.fixture
@@ -228,6 +229,17 @@ def test_lang_output_is_byte_identical(capsys, tmp_path):
     assert out_a == out_b
 
 
+def test_lang_power_cap_exit(capsys, tmp_path):
+    # the star K_{1,9} centred at position 1 cut at [1,2] severs all nine
+    # edges, one more than SPLICE_POWER_CAP
+    system = tmp_path / "star.plfs"
+    spokes = " ".join(f"1-{v}" for v in range(2, 11))
+    system.write_text(f"plfs 1\naxiom 10 : {spokes}\nrule 1,2 : 1,2\n"
+                      "max-order 10\n")
+    assert main(["lang", str(system)]) == 4
+    assert "splice power 9 exceeds cap 8" in capsys.readouterr().err
+
+
 def test_verify_single_check_passes(capsys):
     code, out = run_cli(capsys, "verify", "--max-order", "4",
                         "--theorem", "power-formula")
@@ -348,7 +360,7 @@ def test_export_dot(capsys, tmp_path):
 def test_module_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "graphsplice", "gen", "cycle", "4"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=child_env(),
     )
     assert proc.returncode == 0
     assert parse_graph(proc.stdout) == cycle(4)

@@ -1,4 +1,5 @@
 import importlib
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from graphsplice import (
     cycle,
     double_edge,
     is_isomorphic,
+    join,
     language,
     make_rule,
     path,
@@ -22,6 +24,7 @@ from graphsplice import (
     sigma_step,
     to_plf,
 )
+from graphsplice import splicing
 from graphsplice.language import (
     ClassInfo,
     LanguageConfig,
@@ -254,6 +257,14 @@ def test_closure_matches_naive_oracle_on_drawn_systems(axioms, rules):
     assert_matches_oracle(system, LanguageConfig(max_iterations=3, max_order=5))
 
 
+def _spliced(res, config):
+    """The in-cap classes a run spliced: those known before its last
+    iteration."""
+    last = len(res.trace) - 1
+    return [i.representative for i in res.classes.values()
+            if i.iteration < last and i.representative.order <= config.max_order]
+
+
 def test_each_graph_is_cut_once_per_rule(monkeypatch):
     calls = []
 
@@ -272,9 +283,74 @@ def test_each_graph_is_cut_once_per_rule(monkeypatch):
     config = LanguageConfig(max_iterations=2, max_order=5)
     res = language(system, config)
     distinct = {c for s in system.rules for c in (s.first, s.second)}
-    bound = 0
-    for it in range(1, len(res.trace)):
-        reps = [i for i in res.classes.values()
-                if i.iteration < it and i.representative.order <= config.max_order]
-        bound += len(reps) * len(distinct)
-    assert 0 < len(calls) <= bound
+    # once per run, not once per iteration
+    assert len(set(calls)) == len(calls)
+    assert len(calls) == sum(c.fits(g) for g in _spliced(res, config)
+                             for c in distinct)
+
+
+def _join_key(frag):
+    """What join reads of a fragment, spelled out here instead of taken
+    from splicing.fragment_key: (start, end, intact, anchors, no split)."""
+    return (frag.start, frag.end, frag.intact,
+            tuple(h.anchor for h in frag.hanging), frag.half_vertex is None)
+
+
+def distinct_pair_joins(res, system, config):
+    """Distinct (prefix, suffix) fragment pairs over every ordered pair of
+    spliced classes and every rule, each counted m! times.
+
+    Direction 1 of rule (c1, c2) joins a prefix cut by c1 to a suffix cut
+    by c2, direction 2 a prefix cut by c2 to a suffix cut by c1; a pair
+    joins when the hanging counts and the vertex splits agree.
+    """
+    spliced = _spliced(res, config)
+    pairs = set()
+    for s in system.rules:
+        for a, b in ((s.first, s.second), (s.second, s.first)):
+            prefixes = {_join_key(cut(g, a).prefix) for g in spliced if a.fits(g)}
+            suffixes = {_join_key(cut(h, b).suffix) for h in spliced if b.fits(h)}
+            pairs.update((p, q) for p in prefixes for q in suffixes
+                         if (len(p[3]), p[4]) == (len(q[3]), q[4]))
+    return sum(factorial(len(p[3])) for p, _ in pairs)
+
+
+@pytest.mark.parametrize("system, config, expected", [
+    (SplicingSystem(GAP_AXIOMS, GAP_RULES),
+     LanguageConfig(max_iterations=3, max_order=5), None),
+    (SplicingSystem(GAP_AXIOMS, SPLIT_RULES),
+     LanguageConfig(max_iterations=2, max_order=5), None),
+    # the perfbench gap and split systems, with their pinned join counts
+    (SplicingSystem(GAP_AXIOMS, GAP_RULES),
+     LanguageConfig(max_iterations=6, max_order=8), 1382),
+    (SplicingSystem(GAP_AXIOMS, SPLIT_RULES),
+     LanguageConfig(max_iterations=3, max_order=6), 5060),
+], ids=["gap", "split", "gap-bench", "split-bench"])
+def test_each_fragment_pair_is_joined_once(monkeypatch, system, config, expected):
+    calls = []
+
+    def counting_join(prefix, suffix, r):
+        calls.append(r)
+        return join(prefix, suffix, r)
+
+    monkeypatch.setattr(splicing, "join", counting_join)
+    res = language(system, config)
+    assert len(calls) == sum(t.joins for t in res.trace)
+    assert len(calls) == distinct_pair_joins(res, system, config)
+    if expected is not None:
+        assert len(calls) == expected
+
+
+def test_saturating_runs_end_without_joins():
+    """These two runs end with an iteration that has no new fragment to
+    join.  Saturation alone does not promise that: the gap system at
+    max-order 5 saturates at iteration 3 after 98 joins whose products
+    were all known."""
+    gap = language(SplicingSystem(GAP_AXIOMS, GAP_RULES),
+                   LanguageConfig(max_iterations=6, max_order=8))
+    triangle = language(SplicingSystem((cycle(3),), (RUNNING_RULE,)),
+                        LanguageConfig(max_iterations=10, max_order=8))
+    for res in (gap, triangle):
+        assert res.saturated
+        assert res.trace[-1].joins == 0
+        assert res.trace[-1].raw_products == res.trace[-2].raw_products

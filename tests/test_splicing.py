@@ -69,7 +69,12 @@ def test_recombine_power_cap(monkeypatch):
     monkeypatch.setattr(splicing, "SPLICE_POWER_CAP", 2)
     # C3 cut at [1,2] or [2,3] severs two edges: at the cap, 2(2!) products
     assert len(recombine(cut(cycle(3), (1, 2)), cut(cycle(3), (2, 3)))) == 4
-    # K4 cut at [1,2] or [3,4] severs three
+    # K4 cut at [1,2] or [3,4] severs three; the cap is checked before
+    # any of the m! bijections is listed
+    def no_bijections(*args):
+        raise AssertionError("bijections listed")
+
+    monkeypatch.setattr(splicing, "permutations", no_bijections)
     with pytest.raises(CapExceededError):
         recombine(cut(complete(4), (1, 2)), cut(complete(4), (3, 4)))
 
