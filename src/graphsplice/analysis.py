@@ -18,6 +18,7 @@ from math import factorial
 from .cutting import CutResult, CuttingRule, cut, power, power_by_formula, valid_rules
 from .errors import CapExceededError, GraphSpliceError
 from .graphs import (
+    ENUMERATION_CAP,
     PlfGraph,
     canonical_form,
     complete,
@@ -29,7 +30,7 @@ from .graphs import (
     is_regular,
     is_simple,
 )
-from .splicing import fragment_key, join, make_rule, recombine, sigma_pair
+from .splicing import fragment_key, join_all, make_rule, recombine, sigma_pair
 
 SAMPLE_CAP = 20
 CONVERSE_SAMPLE_CAP = 50
@@ -37,7 +38,7 @@ CONVERSE_SAMPLE_CAP = 50
 # the pair sweeps grow quadratically in the 2^C(n,2) corpus; past this
 # order they stop being a desk-scale computation
 PAIR_SWEEP_CAP = 5
-LINEAR_SWEEP_CAP = 6
+KN_SYMMETRY_MAX_N = 8  # the degree-symmetry check reads K1..K8
 
 
 @dataclass
@@ -71,7 +72,7 @@ def _report(check_id, instances, violation_count, samples, extras=None):
                          status, extras)
 
 
-def graphs_up_to(max_order: int, cap: int = LINEAR_SWEEP_CAP):
+def graphs_up_to(max_order: int, cap: int = ENUMERATION_CAP):
     """Every labeled simple graph of order 1..max_order."""
     if max_order > cap:
         raise CapExceededError(
@@ -100,8 +101,9 @@ def check_power_formula(max_order: int = 5) -> TheoremReport:
 
 
 def check_degree_balance(max_order: int = 5) -> TheoremReport:
-    """Right and left degrees balance: their difference sums to zero and
-    each side alone counts the edges."""
+    """Right and left degrees balance: their difference sums to zero, each
+    side alone counts the edges, and each position's split matches
+    PlfGraph.left_degree and right_degree, counted apart from it."""
     instances = 0
     violations = []
     for g in graphs_up_to(max_order):
@@ -110,10 +112,12 @@ def check_degree_balance(max_order: int = 5) -> TheoremReport:
         diff = sum(r - l for l, r in zip(prof.left, prof.right))
         total_r = sum(prof.right)
         total_l = sum(prof.left)
-        if diff != 0 or total_r != g.size or total_l != g.size:
+        split = list(zip(prof.left, prof.right))
+        direct = [(g.left_degree(v), g.right_degree(v)) for v in range(1, g.order + 1)]
+        if diff != 0 or total_r != g.size or total_l != g.size or split != direct:
             violations.append((
-                str(g), f"sum(rd-ld)=0 and sum(rd)=sum(ld)={g.size}",
-                f"diff={diff}, sum(rd)={total_r}, sum(ld)={total_l}",
+                str(g), f"sum(rd-ld)=0, sum(rd)=sum(ld)={g.size}, (ld, rd) {direct}",
+                f"diff={diff}, sum(rd)={total_r}, sum(ld)={total_l}, (ld, rd) {split}",
             ))
     return _report("degree-balance", instances, len(violations), violations)
 
@@ -201,19 +205,20 @@ def check_splice_theorems(max_order: int = 5, max_power: int = 3) -> list[Theore
     rule b) of power m at most max_power; each such combo builds the m!
     products of Prefix(g)+Suffix(h) and the m! of Prefix(h)+Suffix(g).
     Every per-product law reads only the (prefix, suffix) fragment pair,
-    so each graph is cut once, equal fragments are grouped, and join
-    runs once per distinct fragment pair and bijection.  Tallies are
-    weighted by the number of combos sharing the pair; over all ordered
-    pairs a fragment pair is built once per direction, hence the 2.
+    so each graph is cut once, equal fragments are grouped, and join_all
+    runs once per distinct fragment pair.  Tallies are weighted by the
+    number of combos sharing the pair; over all ordered pairs a fragment
+    pair is built once per direction, hence the 2.
 
-    The laws: m! products per direction; each join equals
-    Prefix(g)+Suffix(h) rebuilt straight from the edge lists (the
-    reversal identity, since direction 1 of (g, h) and direction 2 of
-    (h, g) are both that graph); every vertex keeps its source degree;
-    and the product order is at most order(g)+order(h)-1.  That bound's
-    achievability is arithmetic: [n,n] and [1,1] always have power 0,
-    so every ordered pair has that combo, and its join has order
-    |g|+|h|-1; one join per pair of operand orders checks it.
+    The laws: m! products per direction; each join equals Prefix(g)+
+    Suffix(h) rebuilt from the edge lists under the sweep's own list of
+    bijections in lexicographic order (the reversal identity, since
+    direction 1 of (g, h) and direction 2 of (h, g) are both that graph);
+    every vertex keeps its source degree; and the product order is at
+    most order(g)+order(h)-1.  That bound's achievability is arithmetic:
+    [n,n] and [1,1] always have power 0, so every ordered pair has that
+    combo, and its join has order |g|+|h|-1; one join per pair of
+    operand orders checks it.
     """
     corpus = list(graphs_up_to(max_order, cap=PAIR_SWEEP_CAP))
     combos = products = oversize = 0
@@ -242,8 +247,7 @@ def check_splice_theorems(max_order: int = 5, max_power: int = 3) -> list[Theore
                 cb = suf.rep
                 nb = cb.graph.order
                 pairs = pre.count * suf.count
-                built = [join(ca.prefix, cb.suffix, r)
-                         for r in permutations(range(len(ca.prefix.hanging)))]
+                built = join_all(ca.prefix, cb.suffix)
                 products += 2 * pairs * len(built)
                 if len(built) != factorial(m):
                     flag("count", pairs, pre, suf,
@@ -286,7 +290,7 @@ def check_splice_theorems(max_order: int = 5, max_power: int = 3) -> list[Theore
         first.setdefault(g.order, g)
     for na, ga in first.items():
         for nb, gb in first.items():
-            widest = join(cut(ga, (na, na)).prefix, cut(gb, (1, 1)).suffix, ())
+            [widest] = join_all(cut(ga, (na, na)).prefix, cut(gb, (1, 1)).suffix)
             if widest.order != na + nb - 1:
                 counts["bound"] += by_order[na] * by_order[nb]
                 if len(samples["bound"]) < SAMPLE_CAP:
@@ -381,12 +385,12 @@ def _regularity_report() -> TheoremReport:
                             "differs from r"})
 
 
-def _kn_symmetry_report(max_n: int = 8) -> TheoremReport:
+def _kn_symmetry_report() -> TheoremReport:
     """In a complete graph the right degree at position i mirrors the
     left degree at position n+1-i."""
     instances = 0
     violations = []
-    for n in range(1, max_n + 1):
+    for n in range(1, KN_SYMMETRY_MAX_N + 1):
         prof = degree_profile(complete(n))
         for i in range(1, n + 1):
             instances += 1
@@ -493,8 +497,8 @@ def check_iso_splice(max_order: int = 5) -> TheoremReport:
 
     Runs like the product-law sweep, one isomorphism class at a time:
     the members are cut once, fragments are grouped within the class,
-    and join runs once per distinct fragment pair and bijection, with
-    every tally weighted by the combos sharing the pair.
+    and join_all runs once per distinct fragment pair, with every tally
+    weighted by the combos sharing the pair.
     """
     classes: dict[bytes, list[PlfGraph]] = {}
     for g in graphs_up_to(max_order, cap=PAIR_SWEEP_CAP):
@@ -507,15 +511,13 @@ def check_iso_splice(max_order: int = 5) -> TheoremReport:
     violations = []  # unreachable by arithmetic, kept for honesty
     for key, members in classes.items():
         n = members[0].order
-        for (_refl, m), (pres, sufs) in _cut_groups(members).items():
-            bijections = list(permutations(range(m)))
+        for pres, sufs in _cut_groups(members).values():
             for pre in pres:
                 ca = pre.rep
                 for suf in sufs:
                     cb = suf.rep
                     weight = 2 * pre.count * suf.count
-                    for r in bijections:
-                        p = join(ca.prefix, cb.suffix, r)
+                    for p in join_all(ca.prefix, cb.suffix):
                         instances += weight
                         if p.order != n:
                             # different order forces non-isomorphic, so

@@ -15,9 +15,9 @@ from itertools import combinations, permutations
 
 from .errors import CapExceededError, InvalidGraphError, InvalidOrderingError
 
-DEFAULT_CANON_CAP = 10
 # nodes one canonical-form search may visit before it gives up
 CANON_NODE_BUDGET = 1_000_000
+ISO_ORDER_CAP = 10  # largest order is_isomorphic canonicalizes
 
 Edge = tuple[int, int]
 
@@ -274,8 +274,9 @@ def _canonical_search(order: int, edges) -> bytes:
       vector's column p.  Once a prefix is smaller, every completion of it
       is smaller, and a new best found below a node makes that node tight.
 
-    The search visits at most CANON_NODE_BUDGET nodes and raises
-    CapExceededError past that.
+    The search visits at most CANON_NODE_BUDGET nodes and recurses once
+    per position; past the budget or the interpreter's recursion limit it
+    raises CapExceededError.
     """
     n = order
     if n == 0:
@@ -354,7 +355,12 @@ def _canonical_search(order: int, edges) -> bytes:
             used[v] = False
         return changed
 
-    search(0, 0, False)
+    try:
+        search(0, 0, False)
+    except RecursionError:
+        raise CapExceededError(
+            f"canonical form of order {n} is deeper than the interpreter's stack"
+        ) from None
     return f"{n}|".encode() + ",".join(map(str, best)).encode()
 
 
@@ -363,31 +369,32 @@ def _canon_cached(order: int, edges: tuple[Edge, ...]) -> bytes:
     return _canonical_search(order, edges)
 
 
-def canonical_form(g: PlfGraph, cap: int | None = None) -> bytes:
+def canonical_form(g: PlfGraph) -> bytes:
     """Isomorphism-complete encoding of g, searched once per distinct
     (order, edges) and cached.
 
-    cap bounds the order this is willing to canonicalize; pass a larger
-    cap explicitly for bigger graphs.  Twin pruning makes edgeless,
-    complete and complete bipartite graphs linear, but graphs without
-    twins such as long cycles still grow exponentially, so a search that
-    visits more than CANON_NODE_BUDGET nodes raises CapExceededError as
-    well.  A failed search is not cached.
+    Any order is accepted.  Twin pruning makes edgeless, complete and
+    complete bipartite graphs linear, but graphs without twins such as
+    long cycles still grow exponentially, so a search that visits more
+    than CANON_NODE_BUDGET nodes, or one deeper than the interpreter's
+    stack, raises CapExceededError.  A failed search is not cached.
     """
-    limit = DEFAULT_CANON_CAP if cap is None else cap
-    if g.order > limit:
-        raise CapExceededError(
-            f"canonical form of order {g.order} exceeds cap {limit}"
-        )
     return _canon_cached(g.order, g.edges)
 
 
-def is_isomorphic(g: PlfGraph, h: PlfGraph, cap: int | None = None) -> bool:
+def is_isomorphic(g: PlfGraph, h: PlfGraph) -> bool:
+    """Order, size and sorted degrees first; pairs that agree on all
+    three are compared by canonical form up to order ISO_ORDER_CAP and
+    refused with CapExceededError above it."""
     if g.order != h.order or g.size != h.size:
         return False
     if sorted(degree_profile(g).total) != sorted(degree_profile(h).total):
         return False
-    return canonical_form(g, cap) == canonical_form(h, cap)
+    if g.order > ISO_ORDER_CAP:
+        raise CapExceededError(
+            f"canonical form of order {g.order} exceeds cap {ISO_ORDER_CAP}"
+        )
+    return canonical_form(g) == canonical_form(h)
 
 
 def relabel(g: PlfGraph, ordering: Ordering) -> PlfGraph:

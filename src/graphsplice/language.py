@@ -21,7 +21,7 @@ from math import factorial
 
 from .cutting import cut
 from .errors import SystemDefinitionError
-from .graphs import DEFAULT_CANON_CAP, PlfGraph, canonical_form, is_simple
+from .graphs import PlfGraph, canonical_form, is_simple
 from .splicing import SplicingRule, fragment_key, join_all
 
 DEFAULT_MAX_ITERATIONS = 4
@@ -95,11 +95,6 @@ class LanguageResult:
         return len(self.classes)
 
 
-def _canon_cap(config: LanguageConfig) -> int:
-    # products of two in-cap graphs reach order 2*max_order - 1
-    return max(2 * config.max_order, DEFAULT_CANON_CAP)
-
-
 def sigma_step(graphs, system: SplicingSystem) -> dict[bytes, PlfGraph]:
     """One application of the splicing scheme to a set of graphs.
 
@@ -130,7 +125,6 @@ class _Splicer:
         self.rules = [(number[s.first], number[s.second]) for s in system.rules]
         self.tables: list[list] = []
         self.joined: set[tuple] = set()
-        self.biggest = 0
 
     def add(self, g: PlfGraph) -> None:
         table = []
@@ -143,7 +137,6 @@ class _Splicer:
                           (fragment_key(cg.prefix), cg.prefix),
                           (fragment_key(cg.suffix), cg.suffix)))
         self.tables.append(table)
-        self.biggest = max(self.biggest, g.order)
 
     def step(self, old: int) -> tuple[dict[bytes, PlfGraph], int, int]:
         """Splice the ordered pairs of added graphs that are not both
@@ -152,10 +145,8 @@ class _Splicer:
         Returns {key: first product found} over the fragment pairs not
         joined before in this run, the number of logical products of the
         visited pairs (2(m!) per pair and rule that recombine) and the
-        number of products built.  Products reach order 2*max(order) - 1
-        at most, which bounds canonicalization.
+        number of products built.
         """
-        cap = max(2 * self.biggest, DEFAULT_CANON_CAP)
         tables = self.tables
         found: dict[bytes, PlfGraph] = {}
         raw = joins = 0
@@ -175,7 +166,7 @@ class _Splicer:
                         products = join_all(prefix, suffix)
                         joins += len(products)
                         for prod in products:
-                            found.setdefault(canonical_form(prod, cap), prod)
+                            found.setdefault(canonical_form(prod), prod)
         return found, raw, joins
 
 
@@ -200,11 +191,10 @@ def language(system: SplicingSystem, config: LanguageConfig | None = None) -> La
     if config is None:
         config = LanguageConfig()
     config.check_fits(system)
-    cap = _canon_cap(config)
 
     classes: dict[bytes, ClassInfo] = {}
     for g in system.axioms:
-        key = canonical_form(g, cap)
+        key = canonical_form(g)
         if key not in classes:
             classes[key] = ClassInfo(g, 0)
     trace = [IterationTrace(0, 0, len(classes), 0, 0)]
@@ -241,4 +231,4 @@ def language(system: SplicingSystem, config: LanguageConfig | None = None) -> La
 
 def contains(result: LanguageResult, g: PlfGraph) -> bool:
     """Whether g's isomorphism class was reached."""
-    return canonical_form(g, _canon_cap(result.config)) in result.classes
+    return canonical_form(g) in result.classes

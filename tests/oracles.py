@@ -20,7 +20,6 @@ from graphsplice import (
     sigma_pair,
     valid_rules,
 )
-from graphsplice.graphs import DEFAULT_CANON_CAP
 
 
 def brute_canonical(g: PlfGraph):
@@ -218,10 +217,9 @@ def naive_language(system, config):
     in discovery order, to (first graph found, iteration); trace holds
     (iteration, raw products, new classes, new oversize classes).
     """
-    cap = max(2 * config.max_order, DEFAULT_CANON_CAP)
     classes = {}
     for g in system.axioms:
-        classes.setdefault(canonical_form(g, cap), (g, 0))
+        classes.setdefault(canonical_form(g), (g, 0))
     trace = [(0, 0, len(classes), 0)]
     for it in range(1, config.max_iterations + 1):
         reps = [g for g, _ in classes.values() if g.order <= config.max_order]
@@ -236,7 +234,7 @@ def naive_language(system, config):
                         continue
                     raw += len(products)
                     for p in products:
-                        key = canonical_form(p.graph, cap)
+                        key = canonical_form(p.graph)
                         if key not in classes and key not in new:
                             new[key] = p.graph
         for key, g in new.items():

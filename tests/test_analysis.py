@@ -18,8 +18,9 @@ from graphsplice import (
     power,
     verify_all,
 )
-from graphsplice import analysis, join
+from graphsplice import analysis, join, splicing
 from graphsplice.analysis import graphs_up_to
+from graphsplice.graphs import DegreeProfile
 from conftest import plf_graphs
 from oracles import pairwise_iso_sweep, pairwise_law_sweep
 
@@ -37,6 +38,20 @@ def test_degree_balance_sweep():
     report = check_degree_balance(5)
     assert report.status == "verified"
     assert report.instances_checked == 1099
+
+
+def test_degree_balance_compares_each_position(monkeypatch):
+    # swapped sides still balance in sum, so only the per-position
+    # comparison with left_degree and right_degree can catch this
+    real = analysis.degree_profile
+
+    def swapped(g):
+        prof = real(g)
+        return DegreeProfile(prof.right, prof.left)
+
+    monkeypatch.setattr(analysis, "degree_profile", swapped)
+    report = check_degree_balance(3)
+    assert report.status == "violated"
 
 
 def test_graphs_up_to_cap():
@@ -81,7 +96,7 @@ def test_reversal_check_catches_a_misrouted_join(monkeypatch):
             r = tuple(r[(t + 1) % m] for t in range(m))
         return join(prefix, suffix, r)
 
-    monkeypatch.setattr(analysis, "join", misrouted)
+    monkeypatch.setattr(splicing, "join", misrouted)
     reports = {r.check_id: r for r in check_splice_theorems(3, 3)}
     assert reports["reversal"].status == "violated"
     assert reports["degree-preservation"].status == "verified"

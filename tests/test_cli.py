@@ -1,3 +1,4 @@
+import inspect
 import json
 import subprocess
 import sys
@@ -5,7 +6,7 @@ import sys
 import pytest
 
 import graphsplice.graphs as graphs_module
-from graphsplice import PlfGraph, cycle, to_plf
+from graphsplice import PlfGraph, cycle, path, to_plf
 from graphsplice import analysis, cli, splicing
 from graphsplice.cli import main
 from graphsplice.formats import parse_graph, write_graph
@@ -240,6 +241,24 @@ def test_lang_power_cap_exit(capsys, tmp_path):
     assert "splice power 9 exceeds cap 8" in capsys.readouterr().err
 
 
+def test_lang_search_deeper_than_the_stack_exits_4(capsys, tmp_path):
+    # a valid system whose one axiom is edgeless: its canonical search
+    # needs a frame per position, 300 against 200 left on the stack (at
+    # the default limit, order 1000 does the same in about 5 s)
+    system = tmp_path / "wide.plfs"
+    system.write_text("plfs 1\naxiom 300 :\nrule 1,2 : 1,2\nmax-order 300\n")
+    graphs_module._canon_cached.cache_clear()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 200)
+    try:
+        code = main(["lang", str(system)])
+    finally:
+        sys.setrecursionlimit(limit)
+    assert code == 4
+    assert capsys.readouterr().err == (
+        "error: canonical form of order 300 is deeper than the interpreter's stack\n")
+
+
 def test_verify_single_check_passes(capsys):
     code, out = run_cli(capsys, "verify", "--max-order", "4",
                         "--theorem", "power-formula")
@@ -334,6 +353,22 @@ def test_iso_on_edgeless_order_10(capsys, tmp_path):
     code, out = run_cli(capsys, "iso", str(a), str(b))
     assert code == 0
     assert json.loads(out) == {"isomorphic": True}
+
+
+def test_iso_order_cap(capsys, tmp_path):
+    a = tmp_path / "a.plfg"
+    b = tmp_path / "b.plfg"
+    a.write_text(write_graph(path(11)))
+    b.write_text(write_graph(to_plf(11, path(11).edges, tuple(range(11, 0, -1)))))
+    assert main(["iso", str(a), str(b)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: canonical form of order 11 exceeds cap 10\n"
+
+    b.write_text(write_graph(cycle(11)))
+    code, out = run_cli(capsys, "iso", str(a), str(b))
+    assert code == 0
+    assert json.loads(out) == {"isomorphic": False}
 
 
 def test_iso_search_budget_exit(capsys, monkeypatch, tmp_path):

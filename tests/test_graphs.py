@@ -1,4 +1,6 @@
+import inspect
 import random
+import sys
 from itertools import combinations
 
 import pytest
@@ -218,11 +220,37 @@ def test_canonical_form_invariant_under_relabeling():
         assert canonical_form(h) == base
 
 
-def test_canonical_cap():
-    big = path(11)
-    with pytest.raises(CapExceededError):
-        canonical_form(big)
-    assert canonical_form(big, cap=11)
+def test_canonical_form_takes_any_order():
+    p11 = path(11)
+    assert canonical_form(p11) == reference_canonical(11, p11.edges)
+    # the reference would try all 20! layouts of the edgeless graph, whose
+    # vector is all zeros
+    assert canonical_form(PlfGraph(20, ())) == b"20|" + b",".join([b"0"] * 190)
+
+
+def test_is_isomorphic_caps_the_order_after_the_cheap_checks():
+    p11 = path(11)
+    flipped = relabel(p11, tuple(range(11, 0, -1)))
+    with pytest.raises(CapExceededError, match="order 11 exceeds cap 10"):
+        is_isomorphic(p11, flipped)
+    # P11 and C11 differ in size, which answers before the cap applies
+    assert is_isomorphic(p11, cycle(11)) is False
+
+
+def test_search_deeper_than_the_stack_raises_cap_exceeded():
+    # the search recurses once per position, so 300 positions cannot fit
+    # in 100 frames above the current depth
+    edgeless = PlfGraph(300, ())
+    graphs_module._canon_cached.cache_clear()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        with pytest.raises(CapExceededError, match="interpreter's stack"):
+            canonical_form(edgeless)
+    finally:
+        sys.setrecursionlimit(limit)
+    # the failure is not cached: the full stack finishes the search
+    assert canonical_form(edgeless) == b"300|" + b",".join([b"0"] * 44850)
 
 
 def test_canonical_partition_matches_brute_force_exhaustively():
@@ -396,10 +424,10 @@ def test_search_node_budget(monkeypatch):
     graphs_module._canon_cached.cache_clear()
     monkeypatch.setattr(graphs_module, "CANON_NODE_BUDGET", 100)
     with pytest.raises(CapExceededError, match="search nodes"):
-        canonical_form(c12, cap=12)
+        canonical_form(c12)
     monkeypatch.undo()
     # the failure is not cached: the real budget finishes the search
-    assert canonical_form(c12, cap=12) == reference_canonical(12, c12.edges)
+    assert canonical_form(c12) == reference_canonical(12, c12.edges)
 
 
 def test_twin_classes_search_in_linear_nodes(monkeypatch):

@@ -120,6 +120,11 @@ def test_contains_respects_classes_only():
     assert contains(res, to_plf(3, cycle(3).edges, (2, 1, 3)))
 
 
+def test_contains_answers_for_graphs_of_any_order():
+    res = language(running_system(), LanguageConfig(max_iterations=1))
+    assert contains(res, PlfGraph(20, ())) is False
+
+
 def test_zero_iterations_returns_axioms():
     res = language(running_system(), LanguageConfig(max_iterations=0))
     assert len(res) == 2
