@@ -9,6 +9,8 @@ vertex set implicit in the order makes cutting a graph "between" or
 
 from __future__ import annotations
 
+import operator
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, permutations
@@ -35,14 +37,27 @@ class PlfGraph:
     edges: tuple[Edge, ...] = ()
 
     def __post_init__(self):
-        if self.order < 0:
-            raise InvalidGraphError(f"order must be non-negative, got {self.order}")
+        try:
+            order = operator.index(self.order)
+        except TypeError:
+            raise InvalidGraphError(
+                f"order must be an integer, got {self.order!r}"
+            ) from None
+        if order < 0:
+            raise InvalidGraphError(f"order must be non-negative, got {order}")
+        object.__setattr__(self, "order", order)
         norm = []
         for e in self.edges:
             try:
                 u, v = e
             except (TypeError, ValueError):
                 raise InvalidGraphError(f"edge {e!r} is not a pair") from None
+            try:
+                u, v = operator.index(u), operator.index(v)
+            except TypeError:
+                raise InvalidGraphError(
+                    f"edge {e!r} has a non-integer endpoint"
+                ) from None
             if u == v:
                 raise InvalidGraphError(f"loop at vertex {u} is not allowed")
             if u > v:
@@ -51,7 +66,7 @@ class PlfGraph:
                 raise InvalidGraphError(
                     f"edge ({u},{v}) falls outside positions 1..{self.order}"
                 )
-            norm.append((int(u), int(v)))
+            norm.append((u, v))
         norm.sort()
         object.__setattr__(self, "edges", tuple(norm))
 
@@ -264,11 +279,11 @@ def _canonical_search(order: int, edges) -> bytes:
       so the minimum below a node places at p a vertex whose column (its
       multiplicities to the placed vertices) is the smallest there.  Only
       the candidates that tie for that column are tried.
-    - One twin per class.  Twins are vertices whose multiplicity rows
-      agree outside the pair itself; the relation is transitive.  Swapping
-      two unplaced twins is an automorphism that fixes the prefix, so both
-      choices lead to the same set of vectors and one unplaced member of
-      each class is tried.
+    - One placement per twin class.  Twins are vertices whose multiplicity
+      rows agree outside the pair itself; the relation is transitive.
+      Unplaced twins share a column, so each node builds one column per
+      class, and swapping two of them is an automorphism that fixes the
+      prefix, so one member of each tied class is placed.
     - Column bound.  `tight` says the prefix equals the best vector's
       prefix so far; only then is the new column compared with the best
       vector's column p.  Once a prefix is smaller, every completion of it
@@ -276,13 +291,14 @@ def _canonical_search(order: int, edges) -> bytes:
 
     The search visits at most CANON_NODE_BUDGET nodes and recurses once
     per position; past the budget or the interpreter's recursion limit it
-    raises CapExceededError.
+    raises CapExceededError, an order at or above the limit before it
+    builds anything.
     """
     n = order
-    if n == 0:
-        return b"0|"
-    if n == 1:
-        return b"1|"
+    if n >= sys.getrecursionlimit():
+        raise CapExceededError(
+            f"canonical form of order {n} is deeper than the interpreter's stack"
+        )
     mult = [[0] * n for _ in range(n)]
     deg = [0] * n
     for u, v in edges:
@@ -291,21 +307,26 @@ def _canonical_search(order: int, edges) -> bytes:
         deg[u - 1] += 1
         deg[v - 1] += 1
     target = sorted(deg, reverse=True)
-    slot_candidates = [
-        [v for v in range(n) if deg[v] == target[p]] for p in range(n)
-    ]
-    # twin[v] is the smallest member of v's twin class
-    twin = list(range(n))
+    # twin classes in the order of their smallest member, each the list
+    # of its unplaced members; the search places a class's members from
+    # the back, so its first member, unplaced while any member is, gives
+    # the row that every unplaced member's column is read from
+    classes: list[list[int]] = []
     for v in range(n):
-        for u in range(v):
-            if twin[u] == u and deg[u] == deg[v] and all(
+        for cls in classes:
+            u = cls[0]
+            if deg[u] == deg[v] and all(
                 mult[u][w] == mult[v][w] for w in range(n) if w != u and w != v
             ):
-                twin[v] = u
+                cls.append(v)
                 break
+        else:
+            classes.append([v])
+    slot_classes = [
+        [(cls, mult[cls[0]]) for cls in classes if deg[cls[0]] == d] for d in target
+    ]
     vec = [0] * (n * (n - 1) // 2)
     assigned = [0] * n
-    used = [False] * n
     best: list = []
     nodes = 0
 
@@ -326,15 +347,14 @@ def _canonical_search(order: int, edges) -> bytes:
         placed = assigned[:p]
         low = None
         ties = []
-        for v in slot_candidates[p]:
-            if used[v]:
+        for cls, row in slot_classes[p]:
+            if not cls:
                 continue
-            row = mult[v]
             col = [row[a] for a in placed]
             if low is None or col < low:
-                low, ties = col, [v]
+                low, ties = col, [cls]
             elif col == low:
-                ties.append(v)
+                ties.append(cls)
         end = pos + p
         if tight:
             head = best[pos:end]
@@ -343,16 +363,12 @@ def _canonical_search(order: int, edges) -> bytes:
             tight = low == head
         vec[pos:end] = low
         changed = False
-        tried = set()
-        for v in ties:
-            if twin[v] in tried:
-                continue
-            tried.add(twin[v])
-            used[v] = True
+        for cls in ties:
+            v = cls.pop()
             assigned[p] = v
             if search(p + 1, end, tight):
                 changed = tight = True
-            used[v] = False
+            cls.append(v)
         return changed
 
     try:
@@ -373,11 +389,14 @@ def canonical_form(g: PlfGraph) -> bytes:
     """Isomorphism-complete encoding of g, searched once per distinct
     (order, edges) and cached.
 
-    Any order is accepted.  Twin pruning makes edgeless, complete and
-    complete bipartite graphs linear, but graphs without twins such as
-    long cycles still grow exponentially, so a search that visits more
-    than CANON_NODE_BUDGET nodes, or one deeper than the interpreter's
-    stack, raises CapExceededError.  A failed search is not cached.
+    Any order is accepted.  The search branches on twin classes, one
+    column and one placement per class, so edgeless, complete and
+    complete bipartite graphs take a linear number of nodes.  Graphs
+    without twins such as long cycles still grow exponentially, so a
+    search that visits more than CANON_NODE_BUDGET nodes, or one deeper
+    than the interpreter's stack, raises CapExceededError; an order at
+    or above the recursion limit is refused before any search work.  A
+    failed search is not cached.
     """
     return _canon_cached(g.order, g.edges)
 

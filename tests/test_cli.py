@@ -1,5 +1,6 @@
 import inspect
 import json
+import resource
 import subprocess
 import sys
 
@@ -243,8 +244,7 @@ def test_lang_power_cap_exit(capsys, tmp_path):
 
 def test_lang_search_deeper_than_the_stack_exits_4(capsys, tmp_path):
     # a valid system whose one axiom is edgeless: its canonical search
-    # needs a frame per position, 300 against 200 left on the stack (at
-    # the default limit, order 1000 does the same in about 5 s)
+    # needs a frame per position, 300 against 200 left on the stack
     system = tmp_path / "wide.plfs"
     system.write_text("plfs 1\naxiom 300 :\nrule 1,2 : 1,2\nmax-order 300\n")
     graphs_module._canon_cached.cache_clear()
@@ -257,6 +257,26 @@ def test_lang_search_deeper_than_the_stack_exits_4(capsys, tmp_path):
     assert code == 4
     assert capsys.readouterr().err == (
         "error: canonical form of order 300 is deeper than the interpreter's stack\n")
+
+
+def test_lang_order_past_the_stack_exits_4_at_once(tmp_path):
+    # the search for this axiom would first build a 100000-by-100000
+    # matrix (about 80 GB); the child's address space is capped at 1 GB,
+    # so a search that starts building it dies of MemoryError instead of
+    # exhausting the machine
+    system = tmp_path / "huge.plfs"
+    system.write_text("plfs 1\naxiom 100000 :\nrule 1,2 : 1,2\n"
+                      "max-order 100000\n")
+    cap = 1 << 30
+    proc = subprocess.run(
+        [sys.executable, "-m", "graphsplice", "lang", str(system)],
+        capture_output=True, text=True, env=child_env(),
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
+    assert proc.returncode == 4
+    assert proc.stdout == ""
+    assert proc.stderr == ("error: canonical form of order 100000 is deeper "
+                           "than the interpreter's stack\n")
 
 
 def test_verify_single_check_passes(capsys):

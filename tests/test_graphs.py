@@ -1,6 +1,7 @@
 import inspect
 import random
 import sys
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -65,6 +66,16 @@ def test_out_of_range_endpoints_are_rejected():
 def test_negative_order_is_rejected():
     with pytest.raises(InvalidGraphError):
         PlfGraph(-1, ())
+
+
+def test_non_integer_order_and_endpoints_are_rejected():
+    # the float endpoint must not be truncated to the edge (1, 3)
+    with pytest.raises(InvalidGraphError, match="non-integer endpoint"):
+        PlfGraph(3, ((1.5, 3),))
+    with pytest.raises(InvalidGraphError, match="non-integer endpoint"):
+        PlfGraph(3, (("1", "3"),))
+    with pytest.raises(InvalidGraphError, match="order must be an integer"):
+        PlfGraph(2.5, ())
 
 
 def test_empty_graphs_are_legal():
@@ -225,7 +236,9 @@ def test_canonical_form_takes_any_order():
     assert canonical_form(p11) == reference_canonical(11, p11.edges)
     # the reference would try all 20! layouts of the edgeless graph, whose
     # vector is all zeros
-    assert canonical_form(PlfGraph(20, ())) == b"20|" + b",".join([b"0"] * 190)
+    for n in (20, 400):
+        zeros = b",".join([b"0"] * (n * (n - 1) // 2))
+        assert canonical_form(PlfGraph(n, ())) == f"{n}|".encode() + zeros
 
 
 def test_is_isomorphic_caps_the_order_after_the_cheap_checks():
@@ -238,19 +251,38 @@ def test_is_isomorphic_caps_the_order_after_the_cheap_checks():
 
 
 def test_search_deeper_than_the_stack_raises_cap_exceeded():
-    # the search recurses once per position, so 300 positions cannot fit
-    # in 100 frames above the current depth
-    edgeless = PlfGraph(300, ())
-    graphs_module._canon_cached.cache_clear()
+    # the search recurses once per position: an order at the limit is
+    # refused up front; limit - 1 positions pass that check but cannot fit
+    # above the current depth
+    low_limit = len(inspect.stack(0)) + 100
     limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    graphs_module._canon_cached.cache_clear()
+    for order in (low_limit, low_limit - 1):
+        edgeless = PlfGraph(order, ())
+        sys.setrecursionlimit(low_limit)
+        try:
+            with pytest.raises(CapExceededError, match="interpreter's stack"):
+                canonical_form(edgeless)
+        finally:
+            sys.setrecursionlimit(limit)
+        # the failure is not cached: the full stack finishes the search
+        zeros = b",".join([b"0"] * (order * (order - 1) // 2))
+        assert canonical_form(edgeless) == f"{order}|".encode() + zeros
+
+
+def test_search_deeper_than_the_stack_is_refused_before_the_matrix():
+    # at the default limit of 1000 the n-by-n multiplicity matrix of this
+    # order would take about 18 MB
+    edgeless = PlfGraph(sys.getrecursionlimit() + 500, ())
+    graphs_module._canon_cached.cache_clear()
+    tracemalloc.start()
     try:
         with pytest.raises(CapExceededError, match="interpreter's stack"):
             canonical_form(edgeless)
+        _, peak = tracemalloc.get_traced_memory()
     finally:
-        sys.setrecursionlimit(limit)
-    # the failure is not cached: the full stack finishes the search
-    assert canonical_form(edgeless) == b"300|" + b",".join([b"0"] * 44850)
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_canonical_partition_matches_brute_force_exhaustively():
