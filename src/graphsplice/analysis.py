@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 from itertools import permutations
 from math import factorial
 
-from .cutting import CutResult, CuttingRule, cut, power, power_by_formula, valid_rules
+from . import splicing
+from .cutting import CutResult, CuttingRule, cut, power_by_formula, valid_rules
 from .errors import CapExceededError, GraphSpliceError
 from .graphs import (
     ENUMERATION_CAP,
@@ -30,7 +31,7 @@ from .graphs import (
     is_regular,
     is_simple,
 )
-from .splicing import fragment_key, join_all, make_rule, recombine, sigma_pair
+from .splicing import fragment_key, make_rule, recombine, sigma_pair
 
 SAMPLE_CAP = 20
 CONVERSE_SAMPLE_CAP = 50
@@ -89,7 +90,7 @@ def check_power_formula(max_order: int = 5) -> TheoremReport:
     for g in graphs_up_to(max_order):
         for rule in valid_rules(g, include_reflexive=False):
             instances += 1
-            direct = power(g, rule)
+            direct = cut(g, rule).power
             left = power_by_formula(g, rule, "left")
             right = power_by_formula(g, rule, "right")
             if not direct == left == right:
@@ -205,7 +206,7 @@ def check_splice_theorems(max_order: int = 5, max_power: int = 3) -> list[Theore
     rule b) of power m at most max_power; each such combo builds the m!
     products of Prefix(g)+Suffix(h) and the m! of Prefix(h)+Suffix(g).
     Every per-product law reads only the (prefix, suffix) fragment pair,
-    so each graph is cut once, equal fragments are grouped, and join_all
+    so each graph is cut once, equal fragments are grouped, and join
     runs once per distinct fragment pair.  Tallies are weighted by the
     number of combos sharing the pair; over all ordered pairs a fragment
     pair is built once per direction, hence the 2.
@@ -247,7 +248,7 @@ def check_splice_theorems(max_order: int = 5, max_power: int = 3) -> list[Theore
                 cb = suf.rep
                 nb = cb.graph.order
                 pairs = pre.count * suf.count
-                built = join_all(ca.prefix, cb.suffix)
+                built = splicing.join(ca.prefix, cb.suffix)
                 products += 2 * pairs * len(built)
                 if len(built) != factorial(m):
                     flag("count", pairs, pre, suf,
@@ -290,7 +291,7 @@ def check_splice_theorems(max_order: int = 5, max_power: int = 3) -> list[Theore
         first.setdefault(g.order, g)
     for na, ga in first.items():
         for nb, gb in first.items():
-            [widest] = join_all(cut(ga, (na, na)).prefix, cut(gb, (1, 1)).suffix)
+            [widest] = splicing.join(cut(ga, (na, na)).prefix, cut(gb, (1, 1)).suffix)
             if widest.order != na + nb - 1:
                 counts["bound"] += by_order[na] * by_order[nb]
                 if len(samples["bound"]) < SAMPLE_CAP:
@@ -497,7 +498,7 @@ def check_iso_splice(max_order: int = 5) -> TheoremReport:
 
     Runs like the product-law sweep, one isomorphism class at a time:
     the members are cut once, fragments are grouped within the class,
-    and join_all runs once per distinct fragment pair, with every tally
+    and join runs once per distinct fragment pair, with every tally
     weighted by the combos sharing the pair.
     """
     classes: dict[bytes, list[PlfGraph]] = {}
@@ -517,7 +518,7 @@ def check_iso_splice(max_order: int = 5) -> TheoremReport:
                 for suf in sufs:
                     cb = suf.rep
                     weight = 2 * pre.count * suf.count
-                    for p in join_all(ca.prefix, cb.suffix):
+                    for p in splicing.join(ca.prefix, cb.suffix):
                         instances += weight
                         if p.order != n:
                             # different order forces non-isomorphic, so

@@ -2,8 +2,8 @@
 
 Structured output is JSON with sorted keys so identical inputs give
 byte-identical bytes.  Exit codes: 0 ok, 1 verification found a violated
-law, 2 bad usage or invalid input values, 3 file parse error, 4 an
-explicit size cap was exceeded.
+law, 2 bad usage, invalid input values or an unreadable file, 3 file
+parse error (non-text bytes too), 4 an explicit size cap was exceeded.
 """
 
 from __future__ import annotations
@@ -41,8 +41,16 @@ def _emit(payload) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
+def _read(path_arg: str) -> str:
+    """An input file's text; bytes that are not text are a parse error."""
+    try:
+        return Path(path_arg).read_text()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path_arg}: not a text file ({exc.reason})") from None
+
+
 def _load_graph(path_arg: str) -> PlfGraph:
-    return formats.parse_graph(Path(path_arg).read_text())
+    return formats.parse_graph(_read(path_arg))
 
 
 def _parse_cut_arg(token: str) -> CuttingRule:
@@ -158,7 +166,7 @@ def _cmd_splice(args) -> int:
 
 
 def _cmd_lang(args) -> int:
-    system, config = formats.parse_system(Path(args.system).read_text())
+    system, config = formats.parse_system(_read(args.system))
     result = language(system, config)
     classes = [
         {
@@ -278,7 +286,7 @@ def main(argv=None) -> int:
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (GraphSpliceError, FileNotFoundError) as exc:
+    except (GraphSpliceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

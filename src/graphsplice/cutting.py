@@ -10,6 +10,7 @@ whose hanging edges remember the severed instances.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .errors import InvalidRuleError
@@ -24,6 +25,14 @@ class CuttingRule:
     j: int
 
     def __post_init__(self):
+        try:
+            i, j = operator.index(self.i), operator.index(self.j)
+        except TypeError:
+            raise InvalidRuleError(
+                f"rule positions must be integers, got {self.i!r} and {self.j!r}"
+            ) from None
+        object.__setattr__(self, "i", i)
+        object.__setattr__(self, "j", j)
         if self.i < 1:
             raise InvalidRuleError(f"rule [{self.i},{self.j}]: i must be positive")
         if not self.i <= self.j <= self.i + 1:
@@ -53,7 +62,7 @@ def as_rule(rule) -> CuttingRule:
     if isinstance(rule, CuttingRule):
         return rule
     i, j = rule
-    return CuttingRule(int(i), int(j))
+    return CuttingRule(i, j)
 
 
 def valid_rules(g: PlfGraph, include_reflexive: bool = True):
@@ -98,11 +107,6 @@ class Fragment:
     intact: tuple[Edge, ...]
     hanging: tuple[HangingEdge, ...]
     half_vertex: int | None = None
-
-    @property
-    def span(self) -> int:
-        """Number of retained positions, counting a half-vertex as one."""
-        return self.end - self.start + 1
 
     @property
     def retained(self) -> range:
@@ -174,18 +178,6 @@ def cut(g: PlfGraph, rule) -> CutResult:
         tuple(suf_intact), tuple(suf_hang), half,
     )
     return CutResult(g, rule, prefix, suffix, tuple(severed), half)
-
-
-def ecut(g: PlfGraph, rule) -> tuple[Edge, ...]:
-    return cut(g, rule).ecut
-
-
-def vcut(g: PlfGraph, rule) -> int | None:
-    return cut(g, rule).vcut
-
-
-def power(g: PlfGraph, rule) -> int:
-    return cut(g, rule).power
 
 
 def power_by_formula(g: PlfGraph, rule, side: str = "left") -> int:

@@ -16,13 +16,15 @@ counts the logical products over all ordered pairs of each iteration.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from math import factorial
 
+from . import splicing
 from .cutting import cut
 from .errors import SystemDefinitionError
 from .graphs import PlfGraph, canonical_form, is_simple
-from .splicing import SplicingRule, fragment_key, join_all
+from .splicing import SplicingRule, fragment_key
 
 DEFAULT_MAX_ITERATIONS = 4
 DEFAULT_MAX_ORDER = 8
@@ -53,6 +55,14 @@ class LanguageConfig:
     max_order: int = DEFAULT_MAX_ORDER
 
     def __post_init__(self):
+        for name in ("max_iterations", "max_order"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise SystemDefinitionError(
+                    f"{name} must be an integer, got {value!r}"
+                ) from None
         if self.max_iterations < 0:
             raise SystemDefinitionError("max_iterations must be >= 0")
         if self.max_order < 1:
@@ -163,7 +173,7 @@ class _Splicer:
                         if (pkey, skey) in self.joined:
                             continue
                         self.joined.add((pkey, skey))
-                        products = join_all(prefix, suffix)
+                        products = splicing.join(prefix, suffix)
                         joins += len(products)
                         for prod in products:
                             found.setdefault(canonical_form(prod), prod)

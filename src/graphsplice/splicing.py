@@ -5,10 +5,11 @@ once each, then rejoins the four fragments crosswise: the first
 direction keeps Prefix(G) and Suffix(H), the second keeps Prefix(H) and
 Suffix(G).  With m hanging edges per fragment there are m! bijections per
 direction, hence 2(m!) products, every one of which is emitted with its
-provenance.  join_all is the one splice path: recombine runs it for
-both directions of two cuts (sigma_pair feeds it fresh cuts, the
-regularity report cuts from per-graph tables), and the closure runs it
-once per distinct fragment pair, keyed by fragment_key.
+provenance.  join is the one weld: it builds the m! products of one
+(prefix, suffix) pair.  recombine runs it for both directions of two
+cuts (sigma_pair feeds it fresh cuts, the regularity report cuts from
+per-graph tables), and the closure and the law sweeps run it once per
+distinct fragment pair, keyed by fragment_key.
 """
 
 from __future__ import annotations
@@ -67,39 +68,40 @@ def _compatible(cg: CutResult, ch: CutResult) -> str | None:
     return None
 
 
-def join(prefix: Fragment, suffix: Fragment, r: Recombination) -> PlfGraph:
-    """Weld a prefix fragment to a suffix fragment under one bijection.
+def join(prefix: Fragment, suffix: Fragment) -> list[PlfGraph]:
+    """Weld a prefix fragment to a suffix fragment under every bijection
+    of their hanging edges, in lexicographic order.
 
     Prefix positions keep their names; suffix positions are renumbered to
     follow them consecutively; half-vertices (when present on both sides)
-    merge into the prefix's last position.  Hanging edge t of the prefix
-    fuses with hanging edge r[t] of the suffix into a single new edge
-    between their anchors.
+    merge into the prefix's last position.  Under bijection r, hanging
+    edge t of the prefix fuses with hanging edge r[t] of the suffix into
+    a single new edge between their anchors.  A power above
+    SPLICE_POWER_CAP raises CapExceededError before any product is built.
     """
+    m = len(prefix.hanging)
+    if m > SPLICE_POWER_CAP:
+        raise CapExceededError(f"splice power {m} exceeds cap {SPLICE_POWER_CAP}")
     if prefix.kind != "prefix" or suffix.kind != "suffix":
         raise JoinError(
             f"need a prefix and a suffix, got {prefix.kind} and {suffix.kind}"
         )
     if (prefix.half_vertex is None) != (suffix.half_vertex is None):
         raise JoinError("half-vertex present on only one side")
-    m = len(prefix.hanging)
     if len(suffix.hanging) != m:
         raise JoinError(
             f"hanging-edge counts differ: {m} vs {len(suffix.hanging)}"
         )
-    if sorted(r) != list(range(m)):
-        raise JoinError(f"bijection {r!r} is not a permutation of 0..{m - 1}")
-    p = prefix.end
-    q = suffix.start
     merged = prefix.half_vertex is not None
-    offset = p - q if merged else p - q + 1
+    offset = prefix.end - suffix.start + (0 if merged else 1)
     order = suffix.end + offset
-    edges = list(prefix.intact)
-    edges.extend((u + offset, v + offset) for u, v in suffix.intact)
-    for t in range(m):
-        edges.append((prefix.hanging[t].anchor,
-                      suffix.hanging[r[t]].anchor + offset))
-    return PlfGraph(order, tuple(edges))
+    intact = list(prefix.intact)
+    intact.extend((u + offset, v + offset) for u, v in suffix.intact)
+    left = [h.anchor for h in prefix.hanging]
+    right = [h.anchor + offset for h in suffix.hanging]
+    # permutations of right, like those of range(m), come in index order
+    return [PlfGraph(order, (*intact, *zip(left, ends)))
+            for ends in permutations(right)]
 
 
 def fragment_key(frag: Fragment) -> tuple:
@@ -107,20 +109,11 @@ def fragment_key(frag: Fragment) -> tuple:
     hanging anchors in order and whether it keeps a half-vertex.
 
     Two prefixes (or two suffixes) with equal keys join every partner
-    into the same graphs.  A prefix always starts at 1, so its start
-    adds nothing to the key.
+    into the same graphs, under every bijection.  A prefix always starts
+    at 1, so its start adds nothing to the key.
     """
     return (frag.start, frag.end, frag.intact,
             tuple(h.anchor for h in frag.hanging), frag.half_vertex is not None)
-
-
-def join_all(prefix: Fragment, suffix: Fragment) -> list[PlfGraph]:
-    """join over all m! bijections, in lexicographic order; a power above
-    SPLICE_POWER_CAP raises CapExceededError before any join runs."""
-    m = len(prefix.hanging)
-    if m > SPLICE_POWER_CAP:
-        raise CapExceededError(f"splice power {m} exceeds cap {SPLICE_POWER_CAP}")
-    return [join(prefix, suffix, r) for r in permutations(range(m))]
 
 
 def recombine(cg: CutResult, ch: CutResult) -> list[SpliceProduct]:
@@ -138,7 +131,7 @@ def recombine(cg: CutResult, ch: CutResult) -> list[SpliceProduct]:
     rule = SplicingRule(cg.rule, ch.rule)
     products = []
     for direction, pre, suf in ((1, cg, ch), (2, ch, cg)):
-        built = join_all(pre.prefix, suf.suffix)
+        built = join(pre.prefix, suf.suffix)
         products.extend(SpliceProduct(g, direction, r, rule) for r, g
                         in zip(permutations(range(cg.power)), built))
     return products

@@ -16,7 +16,7 @@ from graphsplice import (
     PlfGraph,
     SplicingRule,
     canonical_form,
-    power,
+    cut,
     sigma_pair,
     valid_rules,
 )
@@ -169,7 +169,7 @@ def bipartite_by_enumeration(g: PlfGraph) -> bool:
 def _splice_all(g, h, max_power=None):
     """sigma_pair's products for every rule pair that applies to (g, h)."""
     for c1 in valid_rules(g):
-        if max_power is not None and power(g, c1) > max_power:
+        if max_power is not None and cut(g, c1).power > max_power:
             continue
         for c2 in valid_rules(h):
             try:

@@ -10,15 +10,15 @@ from graphsplice import (
     check_iso_splice,
     check_power_formula,
     check_splice_theorems,
+    cut,
     cycle,
     cycle_certificate,
     double_edge,
     has_cycle,
     path,
-    power,
     verify_all,
 )
-from graphsplice import analysis, join, splicing
+from graphsplice import analysis, splicing
 from graphsplice.analysis import graphs_up_to
 from graphsplice.graphs import DegreeProfile
 from conftest import plf_graphs
@@ -88,13 +88,13 @@ def test_splice_law_sweep_order4_counts():
 
 
 def test_reversal_check_catches_a_misrouted_join(monkeypatch):
-    # route hanging edge t to r[(t+1) mod m]: every bijection still has a
-    # product and degrees are unchanged, but the products are the wrong ones
-    def misrouted(prefix, suffix, r):
-        m = len(r)
-        if m >= 2:
-            r = tuple(r[(t + 1) % m] for t in range(m))
-        return join(prefix, suffix, r)
+    # rotate the product list by one: for m >= 2 every product lands on
+    # the wrong bijection, while its degrees stay right
+    join = splicing.join
+
+    def misrouted(prefix, suffix):
+        built = join(prefix, suffix)
+        return built[1:] + built[:1]
 
     monkeypatch.setattr(splicing, "join", misrouted)
     reports = {r.check_id: r for r in check_splice_theorems(3, 3)}
@@ -163,7 +163,7 @@ def test_certificate_revalidates(g):
     assert len(cert.gap_rules) == b - a
     for rule, p in zip(cert.gap_rules, cert.powers):
         assert a <= rule.i < b
-        assert p == power(g, rule)
+        assert p == cut(g, rule).power
         assert p > 1
 
 

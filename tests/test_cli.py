@@ -118,6 +118,38 @@ def test_unparseable_file_exit(capsys, tmp_path):
     assert main(["cut", "--rule", "1,2", str(bad)]) == 3
 
 
+def _unreadable_inputs(tmp_path):
+    """(argv, exit code) pairs: a directory given as a system file, a
+    graph file that is not text, and an --out path that is a directory."""
+    binary = tmp_path / "utf16.plfg"
+    binary.write_bytes(b"\xff\xfep\x00l\x00f\x00g\x00")
+    return [
+        (["lang", str(tmp_path)], 2),
+        (["iso", str(binary), str(binary)], 3),
+        (["gen", "cycle", "3", "--out", str(tmp_path)], 2),
+    ]
+
+
+def test_unreadable_files_are_reported_not_raised(capsys, tmp_path):
+    for argv, code in _unreadable_inputs(tmp_path):
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_unreadable_files_print_no_traceback(tmp_path):
+    for argv, code in _unreadable_inputs(tmp_path)[:2]:
+        proc = subprocess.run(
+            [sys.executable, "-m", "graphsplice", *argv],
+            capture_output=True, text=True, env=child_env(),
+        )
+        assert proc.returncode == code
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ")
+        assert proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
+
+
 def test_verify_cap_exit(capsys):
     assert main(["verify", "--max-order", "8",
                  "--theorem", "power-formula"]) == 4
@@ -186,12 +218,14 @@ def test_splice_single_direction(capsys, tmp_path):
 
 
 def test_splice_power_cap_exit(capsys, monkeypatch, tmp_path):
-    # K4 cut at [1,2] or [3,4] severs three edges
-    def no_join(*args):
-        raise AssertionError("join ran")
+    # K4 cut at [1,2] or [3,4] severs three edges; join refuses them
+    # before it enumerates a bijection or builds a product
+    def never(*args):
+        raise AssertionError("join went past its cap check")
 
     monkeypatch.setattr(splicing, "SPLICE_POWER_CAP", 2)
-    monkeypatch.setattr(splicing, "join", no_join)
+    monkeypatch.setattr(splicing, "permutations", never)
+    monkeypatch.setattr(splicing, "PlfGraph", never)
     k4 = tmp_path / "k4.plfg"
     main(["gen", "complete", "4", "--out", str(k4)])
     assert main(["splice", "--rule", "1,2:3,4", str(k4), str(k4)]) == 4

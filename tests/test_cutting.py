@@ -8,13 +8,10 @@ from graphsplice import (
     cut,
     cycle,
     double_edge,
-    ecut,
     enumerate_simple_graphs,
     path,
-    power,
     power_by_formula,
     valid_rules,
-    vcut,
 )
 from graphsplice.cutting import CuttingRule, as_rule
 from conftest import graph_with_gap_rule, plf_graphs
@@ -30,6 +27,28 @@ def test_rule_shape_validation():
     assert CuttingRule(2, 2).reflexive
     assert not CuttingRule(2, 3).reflexive
     assert str(CuttingRule(2, 3)) == "[2,3]"
+
+
+def test_rule_positions_must_be_integers():
+    # a float rule once built a gap rule that broke printing, as_rule
+    # truncated (1.7, 2) to [1,2], and strings raised a bare TypeError
+    with pytest.raises(InvalidRuleError, match="must be integers"):
+        CuttingRule(1.5, 2.5)
+    with pytest.raises(InvalidRuleError, match="must be integers"):
+        cut(cycle(4), (1.7, 2))
+    with pytest.raises(InvalidRuleError, match="must be integers"):
+        CuttingRule("1", "2")
+
+    class Position:
+        def __init__(self, k):
+            self.k = k
+
+        def __index__(self):
+            return self.k
+
+    rule = CuttingRule(Position(2), Position(3))
+    assert (type(rule.i), type(rule.j)) == (int, int)
+    assert rule == CuttingRule(2, 3)
 
 
 def test_rule_range_check():
@@ -57,10 +76,10 @@ def test_valid_rules_enumeration():
 
 def test_k5_gap_cut():
     k5 = complete(5)
-    severed = ecut(k5, (2, 3))
+    severed = cut(k5, (2, 3)).ecut
     assert set(severed) == {(1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5)}
-    assert power(k5, (2, 3)) == 6
-    assert vcut(k5, (2, 3)) is None
+    assert cut(k5, (2, 3)).power == 6
+    assert cut(k5, (2, 3)).vcut is None
 
     res = cut(k5, (2, 3))
     assert res.prefix.intact == ((1, 2),)
@@ -115,7 +134,7 @@ def test_reflexive_cut_keeps_incident_edges():
     assert res.prefix.intact == ()
     assert res.suffix.intact == ((1, 2), (1, 2))
     assert res.vcut == 1
-    assert vcut(cycle(4), (1, 1)) == 1
+    assert cut(cycle(4), (1, 1)).vcut == 1
 
 
 def test_reflexive_cut_severs_spanning_edges():
@@ -128,7 +147,7 @@ def test_reflexive_cut_severs_spanning_edges():
 
 
 def test_power_examples():
-    assert power(cycle(4), (3, 4)) == 2
+    assert cut(cycle(4), (3, 4)).power == 2
     assert power_by_formula(path(4), (2, 3)) == 1
     assert power_by_formula(cycle(4), (2, 3)) == 2
 
@@ -145,7 +164,7 @@ def test_cut_rejects_invalid_rule():
 
 @given(plf_graphs(min_order=2))
 def test_leftmost_gap_power_is_first_degree(g):
-    assert power(g, (1, 2)) == g.degree(1)
+    assert cut(g, (1, 2)).power == g.degree(1)
 
 
 @given(plf_graphs())
@@ -175,7 +194,6 @@ def test_hanging_lists_track_power(g):
         res = cut(g, rule)
         assert len(res.prefix.hanging) == res.power
         assert len(res.suffix.hanging) == res.power
-        assert res.power == power(g, rule)
 
 
 @given(plf_graphs())
@@ -193,8 +211,8 @@ def test_hanging_anchors_are_retained_and_off_the_half_vertex(g):
 def test_formula_matches_direct_power(pair):
     g, i = pair
     rule = (i, i + 1)
-    assert power_by_formula(g, rule, "left") == power(g, rule)
-    assert power_by_formula(g, rule, "right") == power(g, rule)
+    assert power_by_formula(g, rule, "left") == cut(g, rule).power
+    assert power_by_formula(g, rule, "right") == cut(g, rule).power
 
 
 def test_gap_cut_decomposes_into_reflexive_cuts():
@@ -208,11 +226,11 @@ def test_gap_cut_decomposes_into_reflexive_cuts():
                     continue
                 checked += 1
                 combined = (
-                    set(ecut(g, (i, i)))
-                    | set(ecut(g, (i + 1, i + 1)))
+                    set(cut(g, (i, i)).ecut)
+                    | set(cut(g, (i + 1, i + 1)).ecut)
                     | {(i, i + 1)}
                 )
-                assert set(ecut(g, (i, i + 1))) == combined
+                assert set(cut(g, (i, i + 1)).ecut) == combined
     assert checked > 100
 
 

@@ -16,7 +16,6 @@ from graphsplice import (
     cycle,
     double_edge,
     is_isomorphic,
-    join,
     language,
     make_rule,
     path,
@@ -77,6 +76,22 @@ def test_config_validation():
         LanguageConfig(max_order=0)
     with pytest.raises(SystemDefinitionError):
         language(running_system(), LanguageConfig(max_order=3))
+
+
+def test_config_bounds_must_be_integers():
+    # a float bound was accepted and broke language() with a bare TypeError
+    for bad in ({"max_iterations": 2.5}, {"max_order": 8.0},
+                {"max_iterations": "2"}):
+        with pytest.raises(SystemDefinitionError, match="must be an integer"):
+            LanguageConfig(**bad)
+
+    class Bound:
+        def __index__(self):
+            return 3
+
+    config = LanguageConfig(max_iterations=Bound(), max_order=Bound())
+    assert (config.max_iterations, config.max_order) == (3, 3)
+    assert type(config.max_iterations) is int
 
 
 def test_sigma_step_two_cycle_classes():
@@ -301,9 +316,9 @@ def _join_key(frag):
             tuple(h.anchor for h in frag.hanging), frag.half_vertex is None)
 
 
-def distinct_pair_joins(res, system, config):
+def distinct_pairs(res, system, config):
     """Distinct (prefix, suffix) fragment pairs over every ordered pair of
-    spliced classes and every rule, each counted m! times.
+    spliced classes and every rule, as pairs of _join_key values.
 
     Direction 1 of rule (c1, c2) joins a prefix cut by c1 to a suffix cut
     by c2, direction 2 a prefix cut by c2 to a suffix cut by c1; a pair
@@ -317,7 +332,7 @@ def distinct_pair_joins(res, system, config):
             suffixes = {_join_key(cut(h, b).suffix) for h in spliced if b.fits(h)}
             pairs.update((p, q) for p in prefixes for q in suffixes
                          if (len(p[3]), p[4]) == (len(q[3]), q[4]))
-    return sum(factorial(len(p[3])) for p, _ in pairs)
+    return pairs
 
 
 @pytest.mark.parametrize("system, config, expected", [
@@ -325,25 +340,33 @@ def distinct_pair_joins(res, system, config):
      LanguageConfig(max_iterations=3, max_order=5), None),
     (SplicingSystem(GAP_AXIOMS, SPLIT_RULES),
      LanguageConfig(max_iterations=2, max_order=5), None),
-    # the perfbench gap and split systems, with their pinned join counts
+    # the perfbench gap and split systems, with their pinned join calls
+    # (fragment pairs) and products
     (SplicingSystem(GAP_AXIOMS, GAP_RULES),
-     LanguageConfig(max_iterations=6, max_order=8), 1382),
+     LanguageConfig(max_iterations=6, max_order=8), (341, 1382)),
     (SplicingSystem(GAP_AXIOMS, SPLIT_RULES),
-     LanguageConfig(max_iterations=3, max_order=6), 5060),
+     LanguageConfig(max_iterations=3, max_order=6), (1963, 5060)),
 ], ids=["gap", "split", "gap-bench", "split-bench"])
 def test_each_fragment_pair_is_joined_once(monkeypatch, system, config, expected):
     calls = []
+    products = []
+    join = splicing.join
 
-    def counting_join(prefix, suffix, r):
-        calls.append(r)
-        return join(prefix, suffix, r)
+    def counting_join(prefix, suffix):
+        built = join(prefix, suffix)
+        calls.append((prefix, suffix))
+        products.extend(built)
+        return built
 
     monkeypatch.setattr(splicing, "join", counting_join)
     res = language(system, config)
-    assert len(calls) == sum(t.joins for t in res.trace)
-    assert len(calls) == distinct_pair_joins(res, system, config)
+    pairs = distinct_pairs(res, system, config)
+    assert len(calls) == len(pairs)
+    assert {(_join_key(p), _join_key(s)) for p, s in calls} == pairs
+    assert len(products) == sum(t.joins for t in res.trace)
+    assert len(products) == sum(factorial(len(p[3])) for p, _ in pairs)
     if expected is not None:
-        assert len(calls) == expected
+        assert (len(calls), len(products)) == expected
 
 
 def test_saturating_runs_end_without_joins():

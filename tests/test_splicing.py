@@ -17,7 +17,6 @@ from graphsplice import (
     make_rule,
     max_product_order,
     path,
-    power,
     recombine,
     sigma_pair,
 )
@@ -39,7 +38,7 @@ def directed(g, h, s, direction):
 def recombinations(g, h):
     """(rule, products) for every rule pair of g and h that recombines."""
     for c1 in valid_rules(g):
-        if power(g, c1) > 3:
+        if cut(g, c1).power > 3:
             continue
         for c2 in valid_rules(h):
             prods = recombine(cut(g, c1), cut(h, c2))
@@ -167,18 +166,47 @@ def test_join_validates_fragment_kinds():
     res_g = cut(cycle(3), (1, 2))
     res_h = cut(cycle(4), (2, 3))
     with pytest.raises(JoinError):
-        join(res_h.suffix, res_g.prefix, (0, 1))
-    with pytest.raises(JoinError):
-        join(res_g.prefix, res_h.suffix, (0,))
-    with pytest.raises(JoinError):
-        join(res_g.prefix, res_h.suffix, (0, 0))
+        join(res_h.suffix, res_g.prefix)
 
 
 def test_join_validates_half_vertex_presence():
     gap = cut(path(2), (1, 2))
     reflexive = cut(path(3), (2, 2))
     with pytest.raises(JoinError):
-        join(gap.prefix, reflexive.suffix, ())
+        join(gap.prefix, reflexive.suffix)
+
+
+def test_join_validates_hanging_counts():
+    c3 = cut(cycle(3), (1, 2))
+    k4 = cut(complete(4), (1, 2))
+    assert (c3.power, k4.power) == (2, 3)
+    with pytest.raises(JoinError, match="hanging-edge counts differ: 2 vs 3"):
+        join(c3.prefix, k4.suffix)
+
+
+def test_join_refuses_a_mismatched_pair_before_building(monkeypatch):
+    def no_product(*args):
+        raise AssertionError("a product was built")
+
+    monkeypatch.setattr(splicing, "PlfGraph", no_product)
+    c3 = cut(cycle(3), (1, 2))
+    k4 = cut(complete(4), (1, 2))
+    split = cut(path(3), (2, 2))
+    for prefix, suffix in ((k4.suffix, c3.prefix), (c3.prefix, k4.suffix),
+                           (cut(path(2), (1, 2)).prefix, split.suffix)):
+        with pytest.raises(JoinError):
+            join(prefix, suffix)
+
+
+def test_join_builds_one_product_per_bijection_in_order():
+    # C4 cut at [2,3] severs (1,4) and (2,3): the identity bijection
+    # rebuilds C4, the swap welds 1 to 3 and 2 to 4
+    res = cut(cycle(4), (2, 3))
+    same, swapped = join(res.prefix, res.suffix)
+    assert same == cycle(4)
+    assert swapped == PlfGraph(4, ((1, 2), (1, 3), (2, 4), (3, 4)))
+    k4 = cut(complete(4), (2, 3))
+    assert len(join(k4.prefix, k4.suffix)) == factorial(k4.power)
 
 
 def test_join_rebuilds_the_source_graph():
@@ -186,8 +214,7 @@ def test_join_rebuilds_the_source_graph():
     for g in (cycle(5), complete(4), PlfGraph(3, ((1, 3), (1, 3), (2, 3)))):
         for rule in valid_rules(g):
             res = cut(g, rule)
-            m = res.power
-            rebuilt = join(res.prefix, res.suffix, tuple(range(m)))
+            rebuilt = join(res.prefix, res.suffix)[0]
             assert rebuilt == g
 
 
@@ -197,7 +224,7 @@ def test_product_count_and_order_bound(g, h):
     bound = max_product_order(g, h)
     for s, prods in recombinations(g, h):
         assert prods == sigma_pair(g, h, s)
-        assert len(prods) == 2 * factorial(power(g, s.first))
+        assert len(prods) == 2 * factorial(cut(g, s.first).power)
         for p in prods:
             assert p.graph.order <= bound
 
