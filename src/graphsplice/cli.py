@@ -33,7 +33,8 @@ _GENERATORS = {
     "complete": (complete, 1),
     "bipartite": (complete_bipartite, 2),
 }
-# largest order `gen` builds: the sum of its parameters (N, or a + b)
+# largest order `gen` builds (the sum of its parameters: N, or a + b)
+# and `export-dot` draws
 GEN_ORDER_CAP = 500
 
 
@@ -214,6 +215,10 @@ def _cmd_iso(args) -> int:
 
 def _cmd_export_dot(args) -> int:
     g = _load_graph(args.graph)
+    if g.order > GEN_ORDER_CAP:
+        raise CapExceededError(
+            f"order {g.order} exceeds the export-dot cap {GEN_ORDER_CAP}"
+        )
     text = formats.to_dot(g)
     if args.out:
         Path(args.out).write_text(text)

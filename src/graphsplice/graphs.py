@@ -70,6 +70,17 @@ class PlfGraph:
         norm.sort()
         object.__setattr__(self, "edges", tuple(norm))
 
+    @classmethod
+    def _from_sorted(cls, order: int, edges: tuple[Edge, ...]) -> "PlfGraph":
+        """A graph from a tuple of edges that is already what __post_init__
+        would produce: int order, sorted int pairs with 1 <= u < v <= order.
+        Nothing is checked, so only code that guarantees that may call it.
+        """
+        g = object.__new__(cls)
+        object.__setattr__(g, "order", order)
+        object.__setattr__(g, "edges", edges)
+        return g
+
     @property
     def size(self) -> int:
         return len(self.edges)
@@ -234,11 +245,13 @@ def is_regular(g: PlfGraph) -> int | None:
     """
     if g.order == 0:
         return 0
-    prof = degree_profile(g)
-    want = prof.total[0]
-    if all(d == want for d in prof.total):
-        return want
-    return None
+    deg = [0] * (g.order + 1)
+    for u, v in g.edges:
+        deg[u] += 1
+        deg[v] += 1
+    # deg[0] is an unused slot, which a 0-regular graph's degree would match
+    want = deg[1]
+    return want if deg[1:].count(want) == g.order else None
 
 
 def is_simple(g: PlfGraph) -> bool:

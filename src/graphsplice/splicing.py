@@ -99,8 +99,15 @@ def join(prefix: Fragment, suffix: Fragment) -> list[PlfGraph]:
     intact.extend((u + offset, v + offset) for u, v in suffix.intact)
     left = [h.anchor for h in prefix.hanging]
     right = [h.anchor + offset for h in suffix.hanging]
-    # permutations of right, like those of range(m), come in index order
-    return [PlfGraph(order, (*intact, *zip(left, ends)))
+    # The products skip PlfGraph's validation, which is sound because
+    # every edge already has 1 <= u < v <= order: intact comes from
+    # validated graphs (suffix edges shift by the same offset as the
+    # suffix's own positions), every prefix anchor is at most prefix.end,
+    # and every shifted suffix anchor is above it.  Sorting the tuple is
+    # the one normalization left.  permutations of right, like those of
+    # range(m), come in index order.
+    build = PlfGraph._from_sorted
+    return [build(order, tuple(sorted([*intact, *zip(left, ends)])))
             for ends in permutations(right)]
 
 

@@ -34,8 +34,8 @@ def edge_pairs(order):
 @st.composite
 def plf_graphs(draw, min_order=1, max_order=6, max_edges=12, simple=False):
     order = draw(st.integers(min_value=min_order, max_value=max_order))
-    if order == 1:
-        return PlfGraph(1, ())
+    if order <= 1:
+        return PlfGraph(order, ())
     edges = draw(st.lists(edge_pairs(order), max_size=max_edges))
     if simple:
         seen = {tuple(sorted(e)) for e in edges}

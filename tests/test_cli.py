@@ -223,6 +223,8 @@ def test_splice_power_cap_exit(capsys, monkeypatch, tmp_path):
     def never(*args):
         raise AssertionError("join went past its cap check")
 
+    # join builds its products through PlfGraph._from_sorted
+    never._from_sorted = never
     monkeypatch.setattr(splicing, "SPLICE_POWER_CAP", 2)
     monkeypatch.setattr(splicing, "permutations", never)
     monkeypatch.setattr(splicing, "PlfGraph", never)
@@ -444,6 +446,23 @@ def test_export_dot(capsys, tmp_path):
     assert code == 0
     assert '2 [pos="2,0!"];' in out
     assert "1 -- 3;" in out
+
+
+def test_export_dot_order_cap(capsys, tmp_path):
+    # a 25-byte file would otherwise make a DOT text of gigabytes
+    huge = tmp_path / "huge.plfg"
+    huge.write_text("plfg 1\norder 1000000000\n")
+    out = tmp_path / "huge.dot"
+    assert main(["export-dot", str(huge), "--out", str(out)]) == 4
+    captured = capsys.readouterr()
+    assert f"exceeds the export-dot cap {cli.GEN_ORDER_CAP}" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+    at_cap = tmp_path / "at-cap.plfg"
+    at_cap.write_text(f"plfg 1\norder {cli.GEN_ORDER_CAP}\n")
+    code, text = run_cli(capsys, "export-dot", str(at_cap))
+    assert code == 0
+    assert f'{cli.GEN_ORDER_CAP} [pos="{cli.GEN_ORDER_CAP},0!"];' in text
 
 
 def test_module_entry_point(tmp_path):

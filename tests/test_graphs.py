@@ -5,7 +5,7 @@ import tracemalloc
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 import graphsplice.graphs as graphs_module
 
@@ -197,6 +197,22 @@ def test_is_regular_zero_degree():
     # edgeless graphs are 0-regular, so the truthiness trap matters
     assert is_regular(PlfGraph(3, ())) == 0
     assert is_regular(PlfGraph(3, ())) is not None
+
+
+@settings(max_examples=200, deadline=None)
+@given(plf_graphs(min_order=0, max_order=8))
+@example(PlfGraph(0, ()))
+@example(PlfGraph(1, ()))
+@example(PlfGraph(6, ()))
+@example(cycle(5))
+@example(complete(4))
+@example(double_edge())
+@example(PlfGraph(3, ((1, 2), (1, 2), (1, 3), (1, 3), (2, 3), (2, 3))))
+@example(PlfGraph(4, ((1, 2), (3, 4), (3, 4))))
+def test_is_regular_matches_the_degree_profile(g):
+    total = degree_profile(g).total
+    expected = total[0] if len(set(total)) == 1 else None
+    assert is_regular(g) == (0 if g.order == 0 else expected)
 
 
 def test_connectivity_and_simplicity():

@@ -188,6 +188,8 @@ def test_join_refuses_a_mismatched_pair_before_building(monkeypatch):
     def no_product(*args):
         raise AssertionError("a product was built")
 
+    # join builds its products through PlfGraph._from_sorted
+    no_product._from_sorted = no_product
     monkeypatch.setattr(splicing, "PlfGraph", no_product)
     c3 = cut(cycle(3), (1, 2))
     k4 = cut(complete(4), (1, 2))
@@ -207,6 +209,36 @@ def test_join_builds_one_product_per_bijection_in_order():
     assert swapped == PlfGraph(4, ((1, 2), (1, 3), (2, 4), (3, 4)))
     k4 = cut(complete(4), (2, 3))
     assert len(join(k4.prefix, k4.suffix)) == factorial(k4.power)
+
+
+def test_join_builds_without_revalidating(monkeypatch):
+    calls = 0
+    validate = PlfGraph.__post_init__
+
+    def counted(self):
+        nonlocal calls
+        calls += 1
+        validate(self)
+
+    k5 = cut(complete(5), (2, 3))
+    monkeypatch.setattr(PlfGraph, "__post_init__", counted)
+    built = join(k5.prefix, k5.suffix)
+    assert len(built) == factorial(k5.power)
+    assert calls == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(plf_graphs(max_order=6), plf_graphs(max_order=6))
+def test_join_builds_what_validation_would(g, h):
+    # join skips PlfGraph's validation: every product must be the graph
+    # validation builds from the same edges, with sorted edges inside
+    # positions 1..order
+    for _s, prods in recombinations(g, h):
+        for p in prods:
+            f = p.graph
+            assert f == PlfGraph(f.order, f.edges)
+            assert list(f.edges) == sorted(f.edges)
+            assert all(1 <= u < v <= f.order for u, v in f.edges)
 
 
 def test_join_rebuilds_the_source_graph():
