@@ -92,7 +92,8 @@ def parse_system(text: str) -> tuple[SplicingSystem, LanguageConfig]:
 
     Axiom lines inline the graph: `axiom <order> : <u-v> <u-v> ...`
     (the edge list may be empty).  Rule lines pair two cutting rules:
-    `rule I,J : K,L`.
+    `rule I,J : K,L`.  `max-iterations N` and `max-order N` may each
+    appear at most once.
     """
     directives = list(_directives(text))
     if not directives or directives[0][1] != SYSTEM_MAGIC:
@@ -126,7 +127,10 @@ def parse_system(text: str) -> tuple[SplicingSystem, LanguageConfig]:
             rules.append(SplicingRule(_parse_cut(fields[1], num),
                                       _parse_cut(fields[3], num)))
         elif fields[0] in ("max-iterations", "max-order") and len(fields) == 2:
-            caps[fields[0].replace("-", "_")] = _int(fields[1], num, fields[0])
+            name = fields[0].replace("-", "_")
+            if name in caps:
+                raise ParseError(f"duplicate {fields[0]} directive", num)
+            caps[name] = _int(fields[1], num, fields[0])
         else:
             raise ParseError(f"unknown directive {line!r}", num)
     try:

@@ -13,7 +13,7 @@ import operator
 import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations
 
 from .errors import CapExceededError, InvalidGraphError, InvalidOrderingError
 
@@ -258,24 +258,6 @@ def is_simple(g: PlfGraph) -> bool:
     return len(set(g.edges)) == len(g.edges)
 
 
-def is_connected(g: PlfGraph) -> bool:
-    if g.order <= 1:
-        return True
-    adj: list[list[int]] = [[] for _ in range(g.order + 1)]
-    for u, v in g.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = {1}
-    queue = [1]
-    while queue:
-        x = queue.pop()
-        for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
-    return len(seen) == g.order
-
-
 def _canonical_search(order: int, edges) -> bytes:
     """Smallest upper-triangle multiplicity vector over relabelings.
 
@@ -427,17 +409,6 @@ def is_isomorphic(g: PlfGraph, h: PlfGraph) -> bool:
             f"canonical form of order {g.order} exceeds cap {ISO_ORDER_CAP}"
         )
     return canonical_form(g) == canonical_form(h)
-
-
-def relabel(g: PlfGraph, ordering: Ordering) -> PlfGraph:
-    """Apply an ordering of g's own positions, giving an isomorphic graph."""
-    return to_plf(g.order, g.edges, ordering)
-
-
-def all_relabelings(g: PlfGraph):
-    """Every PLF layout of g, one per permutation of its positions."""
-    for ordering in permutations(range(1, g.order + 1)):
-        yield relabel(g, ordering)
 
 
 ENUMERATION_CAP = 6

@@ -7,21 +7,33 @@ above max_order are recorded but never fed back in, and iteration stops
 at max_iterations even without a fixpoint.  Classes are isomorphism
 classes, keyed by canonical form.
 
-The closure is evaluated semi-naively: each iteration visits only the
-ordered pairs that involve a class new since the previous one, and a
-run joins each distinct (prefix fragment, suffix fragment) pair once,
-because every product depends on that pair alone.  raw_products still
-counts the logical products over all ordered pairs of each iteration.
+The closure is evaluated semi-naively over a fragment index.  Each
+in-cap class becomes a row of the index in the iteration after it
+appears: it is cut once per distinct cutting rule, and each cut is filed
+under its cutting rule, its shape (power, split or not) and the fragment
+keys of its prefix and suffix.  A product depends only on its
+(prefix key, suffix key) pair, so an iteration joins only the key pairs
+of one shape in which a new row filed at least one key first: a hash
+join of the new keys against all keys (Bancilhon & Ramakrishnan, SIGMOD
+1986).  Each key pair is thus joined once per run.
+
+The joins follow the first-visit order of a scan of the cells
+(first row, second row, rule, direction) of the row pairs that involve
+a new row.  That scan first meets a key pair in the cell of the rows
+that filed its two keys first, so the first product found for each
+class is the scan's.  raw_products still counts the logical products
+over all ordered pairs of each iteration.
 """
 
 from __future__ import annotations
 
 import operator
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from math import factorial
 
 from . import splicing
-from .cutting import cut
+from .cutting import Fragment, cut
 from .errors import SystemDefinitionError
 from .graphs import PlfGraph, canonical_form, is_simple
 from .splicing import SplicingRule, fragment_key
@@ -118,13 +130,43 @@ def sigma_step(graphs, system: SplicingSystem) -> dict[bytes, PlfGraph]:
     return splicer.step(0)[0]
 
 
-class _Splicer:
-    """The cut tables and joined fragment pairs of one closure run.
+class _Shape:
+    """The cuts of one shape (power, split or not) in one cutting-rule
+    column: rows lists the rows cut to this shape, in ascending order,
+    and prefixes and suffixes map each fragment key to the first row
+    whose cut has it and that row's fragment (fragments with equal keys
+    join alike).  Keys are filed in row order."""
 
-    Each added graph is cut once per distinct cutting rule that fits its
-    order; tables are indexed by cutting-rule number, and each entry
-    keeps the cut's shape (power, split or not) and, for each fragment,
-    its fragment key and the fragment itself.
+    __slots__ = ("rows", "prefixes", "suffixes")
+
+    def __init__(self):
+        self.rows: list[int] = []
+        self.prefixes: dict[tuple, tuple[int, Fragment]] = {}
+        self.suffixes: dict[tuple, tuple[int, Fragment]] = {}
+
+
+def _filed_since(index: dict, old: int) -> list:
+    """The (key, (first row, fragment)) entries of a key index whose key
+    was first filed at row old or later: its last entries, found from
+    the end."""
+    fresh = []
+    for item in reversed(index.items()):
+        if item[1][0] < old:
+            break
+        fresh.append(item)
+    return fresh
+
+
+class _Splicer:
+    """The fragment index of one closure run.
+
+    Each added graph becomes the next row and is cut once per distinct
+    cutting rule that fits its order; columns are indexed by
+    cutting-rule number.  A column files each cut under its shape, and
+    the shape files the prefix and the suffix under their fragment keys.
+    A step pairs prefix keys with suffix keys of one shape, not rows with
+    rows: the split benchmark system ends with 1-18 prefix keys and at
+    most 70 suffix keys per column.
     """
 
     def __init__(self, system: SplicingSystem):
@@ -133,50 +175,71 @@ class _Splicer:
         number = {c: k for k, c in enumerate(cutting)}
         self.cutting = cutting
         self.rules = [(number[s.first], number[s.second]) for s in system.rules]
-        self.tables: list[list] = []
-        self.joined: set[tuple] = set()
+        self.columns: list[dict[tuple, _Shape]] = [{} for _ in cutting]
+        self.rows = 0
 
     def add(self, g: PlfGraph) -> None:
-        table = []
-        for c in self.cutting:
+        row = self.rows
+        self.rows += 1
+        for c, column in zip(self.cutting, self.columns):
             if not c.fits(g):
-                table.append(None)
                 continue
             cg = cut(g, c)
-            table.append(((cg.power, cg.vcut is None),
-                          (fragment_key(cg.prefix), cg.prefix),
-                          (fragment_key(cg.suffix), cg.suffix)))
-        self.tables.append(table)
+            power_split = (cg.power, cg.vcut is None)
+            shape = column.get(power_split)
+            if shape is None:
+                shape = column[power_split] = _Shape()
+            shape.rows.append(row)
+            shape.prefixes.setdefault(fragment_key(cg.prefix), (row, cg.prefix))
+            shape.suffixes.setdefault(fragment_key(cg.suffix), (row, cg.suffix))
 
     def step(self, old: int) -> tuple[dict[bytes, PlfGraph], int, int]:
-        """Splice the ordered pairs of added graphs that are not both
-        among the first old, in (first, second, rule) order.
+        """Splice the ordered pairs of rows that are not both below old,
+        the number of rows at the previous step (0 at the first).
 
-        Returns {key: first product found} over the fragment pairs not
-        joined before in this run, the number of logical products of the
-        visited pairs (2(m!) per pair and rule that recombine) and the
+        Joins the (prefix key, suffix key) pairs of each rule, direction
+        and shape in which a key was first filed at row old or later;
+        earlier steps joined every other pair.  Returns {key: first
+        product found} over those joins, the number of logical products
+        of the row pairs (2(m!) per pair and rule that recombine) and the
         number of products built.
+
+        A scan of the cells (first row, second row, rule, direction) of
+        these row pairs would first meet a key pair in the cell of its
+        two keys' first rows, because one of them is at least old.  The
+        pairs are joined in the order of those cells, so the first
+        product found for each class is the scan's.
         """
-        tables = self.tables
+        raw = 0
+        first_cell: dict[tuple, tuple] = {}  # key pair -> (cell, prefix, suffix)
+        for r, (a, b) in enumerate(self.rules):
+            second_column = self.columns[b]
+            for power_split, first in self.columns[a].items():
+                second = second_column.get(power_split)
+                if second is None:
+                    continue
+                raw += 2 * factorial(power_split[0]) * (
+                    len(first.rows) * len(second.rows)
+                    - bisect_left(first.rows, old) * bisect_left(second.rows, old))
+                # direction 1 joins the first row's prefix to the second
+                # row's suffix, direction 2 the second's prefix to the first's
+                for d, prefixes, suffixes in ((1, first.prefixes, second.suffixes),
+                                              (2, second.prefixes, first.suffixes)):
+                    fresh = _filed_since(suffixes, old)
+                    for pkey, (prow, prefix) in prefixes.items():
+                        for skey, (srow, suffix) in (suffixes.items() if prow >= old
+                                                     else fresh):
+                            cell = (prow, srow, r, d) if d == 1 else (srow, prow, r, d)
+                            seen = first_cell.get((pkey, skey))
+                            if seen is None or cell < seen[0]:
+                                first_cell[pkey, skey] = (cell, prefix, suffix)
         found: dict[bytes, PlfGraph] = {}
-        raw = joins = 0
-        for i, g_cuts in enumerate(tables):
-            for h_cuts in tables[old if i < old else 0:]:
-                for a, b in self.rules:
-                    cg = g_cuts[a]
-                    ch = h_cuts[b]
-                    if cg is None or ch is None or cg[0] != ch[0]:
-                        continue
-                    raw += 2 * factorial(cg[0][0])
-                    for (pkey, prefix), (skey, suffix) in ((cg[1], ch[2]),
-                                                           (ch[1], cg[2])):
-                        if (pkey, skey) in self.joined:
-                            continue
-                        self.joined.add((pkey, skey))
-                        products = splicing.join(prefix, suffix)
-                        joins += len(products)
-                        for prod in products:
-                            found.setdefault(canonical_form(prod), prod)
+        joins = 0
+        for _, prefix, suffix in sorted(first_cell.values(), key=lambda v: v[0]):
+            products = splicing.join(prefix, suffix)
+            joins += len(products)
+            for prod in products:
+                found.setdefault(canonical_form(prod), prod)
         return found, raw, joins
 
 
@@ -191,12 +254,16 @@ def language(system: SplicingSystem, config: LanguageConfig | None = None) -> La
     max_order; hitting max_iterations first leaves saturated False.
 
     Only pairs that involve a class new since the previous iteration can
-    make a new class, so only those are visited, and each distinct
-    fragment pair is joined once per run: the classes and the first
-    product found for each are those of splicing every pair every
-    iteration.  raw_products counts the logical products over all
-    ordered pairs, those not visited included; joins counts the products
-    actually built.
+    make a new class.  Each iteration therefore joins only the fragment
+    key pairs in which a new class filed at least one key first, so each
+    key pair is joined once per run.  The pairs are joined in the order
+    in which a scan of the (first class, second class, rule, direction)
+    cells would first meet them, the cell of the classes that filed the
+    two keys first: the classes and the first product found for each are
+    those of splicing every ordered pair every iteration in scan order.
+    raw_products counts the logical products over all ordered pairs,
+    those not visited included; joins counts the products actually
+    built.
     """
     if config is None:
         config = LanguageConfig()
@@ -215,7 +282,7 @@ def language(system: SplicingSystem, config: LanguageConfig | None = None) -> La
     raw = 0
     for it in range(1, config.max_iterations + 1):
         # classes only grow, so the old in-cap classes stay a prefix
-        old = len(splicer.tables)
+        old = splicer.rows
         for g in fresh:
             if g.order <= config.max_order:
                 splicer.add(g)

@@ -37,10 +37,6 @@ class SplicingRule:
     first: CuttingRule
     second: CuttingRule
 
-    def swapped(self) -> "SplicingRule":
-        """The reversed rule: cutting rules exchanged."""
-        return SplicingRule(self.second, self.first)
-
     def __str__(self) -> str:
         return f"({self.first},{self.second})"
 
@@ -153,8 +149,3 @@ def sigma_pair(g: PlfGraph, h: PlfGraph, s: SplicingRule) -> list[SpliceProduct]
     if not products:
         raise NotApplicableError(f"rule {s} on this pair: {_compatible(cg, ch)}")
     return products
-
-
-def max_product_order(g: PlfGraph, h: PlfGraph) -> int:
-    """Largest order any product of g and h can have."""
-    return g.order + h.order - 1

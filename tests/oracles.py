@@ -5,7 +5,8 @@ isomorphism, the unpruned degree-respecting canonical search, component
 counting for cycles, color enumeration for bipartiteness, one sigma_pair
 call per ordered pair and rule pair for the law sweeps and per ordered
 pair and rule for the closure.  Slow but obviously correct on small
-graphs.
+graphs.  The few helpers the tests need but the engine does not
+(relabelings, the reversed rule, the product-order bound) live here too.
 """
 
 from itertools import permutations
@@ -18,8 +19,30 @@ from graphsplice import (
     canonical_form,
     cut,
     sigma_pair,
+    to_plf,
     valid_rules,
 )
+
+
+def relabel(g: PlfGraph, ordering) -> PlfGraph:
+    """Apply an ordering of g's own positions, giving an isomorphic graph."""
+    return to_plf(g.order, g.edges, ordering)
+
+
+def all_relabelings(g: PlfGraph):
+    """Every PLF layout of g, one per permutation of its positions."""
+    for ordering in permutations(range(1, g.order + 1)):
+        yield relabel(g, ordering)
+
+
+def swapped(s: SplicingRule) -> SplicingRule:
+    """The reversed rule: cutting rules exchanged."""
+    return SplicingRule(s.second, s.first)
+
+
+def max_product_order(g: PlfGraph, h: PlfGraph) -> int:
+    """Largest order any product of g and h can have."""
+    return g.order + h.order - 1
 
 
 def brute_canonical(g: PlfGraph):

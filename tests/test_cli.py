@@ -118,6 +118,16 @@ def test_unparseable_file_exit(capsys, tmp_path):
     assert main(["cut", "--rule", "1,2", str(bad)]) == 3
 
 
+@pytest.mark.parametrize("directive", ["max-order", "max-iterations"])
+def test_repeated_cap_in_a_system_file_exits_3(capsys, tmp_path, directive):
+    system = tmp_path / "twice.plfs"
+    system.write_text("plfs 1\naxiom 3 : 1-2 2-3 1-3\nrule 1,2 : 2,3\n"
+                      f"{directive} 8\n{directive} 4\n")
+    assert main(["lang", str(system)]) == 3
+    assert capsys.readouterr().err == \
+        f"error: line 5: duplicate {directive} directive\n"
+
+
 def _unreadable_inputs(tmp_path):
     """(argv, exit code) pairs: a directory given as a system file, a
     graph file that is not text, and an --out path that is a directory."""

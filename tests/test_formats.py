@@ -152,6 +152,15 @@ def test_system_parse_errors():
         parse_system("plfs 1\naxiom 9 :\nrule 1,2 : 1,2\nmax-order 5\n")
 
 
+@pytest.mark.parametrize("directive", ["max-order", "max-iterations"])
+def test_system_rejects_a_repeated_cap(directive):
+    text = (f"plfs 1\naxiom 3 : 1-2 2-3 1-3\nrule 1,2 : 2,3\n"
+            f"{directive} 8\n# pad\n{directive} 4\n")
+    with pytest.raises(ParseError, match=f"duplicate {directive} directive") as err:
+        parse_system(text)
+    assert err.value.line == 6
+
+
 def test_dot_pins_positions():
     text = to_dot(path(3))
     assert text == (

@@ -15,6 +15,7 @@ from graphsplice import (
     cut,
     cycle,
     double_edge,
+    enumerate_simple_graphs,
     is_isomorphic,
     language,
     make_rule,
@@ -382,3 +383,91 @@ def test_saturating_runs_end_without_joins():
         assert res.saturated
         assert res.trace[-1].joins == 0
         assert res.trace[-1].raw_products == res.trace[-2].raw_products
+
+
+# Metamorphic checks: relations between runs of language() that must
+# hold whatever the closure finds, so they test it without a second
+# closure to compare against.
+
+def _prefix_of(short, long):
+    """long, run for more iterations, repeats short's trace and classes
+    (representatives and iterations included) and only appends."""
+    assert long.trace[:len(short.trace)] == short.trace
+    assert list(long.classes.items())[:len(short.classes)] == \
+        list(short.classes.items())
+    if short.saturated:
+        assert (long.trace, long.classes, long.saturated) == \
+            (short.trace, short.classes, True)
+
+
+def assert_iteration_monotone(system, max_order, top):
+    runs = [language(system, LanguageConfig(max_iterations=k, max_order=max_order))
+            for k in range(top + 1)]
+    for short, long in zip(runs, runs[1:]):
+        _prefix_of(short, long)
+
+
+def assert_cap_monotone(system, max_order, max_iterations=10):
+    """Assert that a saturated run at max_order + 1 keeps every in-cap
+    class of a saturated run at max_order.  Returns whether both runs
+    saturated, that is, whether anything was compared."""
+    low, high = (language(system, LanguageConfig(max_iterations, n))
+                 for n in (max_order, max_order + 1))
+    if not (low.saturated and high.saturated):
+        return False
+    in_cap = {key for key, info in low.classes.items()
+              if info.representative.order <= max_order}
+    assert in_cap <= high.classes.keys()
+    return True
+
+
+@pytest.mark.parametrize("system, max_order, top", [
+    (running_system(), 8, 5),
+    (SplicingSystem((cycle(3),), (RUNNING_RULE,)), 8, 7),
+    (SplicingSystem(GAP_AXIOMS, GAP_RULES), 6, 4),
+    (SplicingSystem(GAP_AXIOMS, SPLIT_RULES), 5, 3),
+], ids=["two-cycles", "triangle", "gap", "split"])
+def test_more_iterations_extend_the_run(system, max_order, top):
+    assert_iteration_monotone(system, max_order, top)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(plf_graphs(min_order=2, max_order=4, max_edges=6, simple=True),
+                min_size=1, max_size=3),
+       st.lists(_splicing_rules(), min_size=1, max_size=3))
+def test_more_iterations_extend_drawn_runs(axioms, rules):
+    assert_iteration_monotone(SplicingSystem(tuple(axioms), tuple(rules)), 5, 3)
+
+
+@pytest.mark.parametrize("system, max_order", [
+    (SplicingSystem(GAP_AXIOMS, GAP_RULES), 6),
+    (SplicingSystem(GAP_AXIOMS, GAP_RULES), 7),
+    (SplicingSystem((cycle(3),), (RUNNING_RULE,)), 7),
+    (SplicingSystem((cycle(3), path(4)), (RUNNING_RULE, make_rule((2, 2), (1, 1)))), 6),
+], ids=["gap-6", "gap-7", "triangle", "cycle-path"])
+def test_a_higher_cap_keeps_every_in_cap_class(system, max_order):
+    assert assert_cap_monotone(system, max_order)
+
+
+def test_a_higher_cap_keeps_every_in_cap_class_of_small_systems():
+    """One axiom from each class of simple graphs of order 2 to 4 with
+    at least one edge, under one rule: every gap-rule pair and every
+    vertex-split pair over positions 1 to 3, at max-order 6 against 7."""
+    axioms = {}
+    for n in range(2, 5):
+        for g in enumerate_simple_graphs(n):
+            if g.size:
+                axioms.setdefault(canonical_form(g), g)
+    rules = [SplicingRule(CuttingRule(i, i + gap), CuttingRule(k, k + gap))
+             for gap in (1, 0) for i in range(1, 4) for k in range(1, 4)]
+    compared = sum(assert_cap_monotone(SplicingSystem((g,), (s,)), 6)
+                   for g in axioms.values() for s in rules)
+    assert (len(axioms), compared) == (14, 250)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(plf_graphs(min_order=2, max_order=4, max_edges=6, simple=True),
+                min_size=1, max_size=2),
+       st.lists(_splicing_rules(3), min_size=1, max_size=2))
+def test_a_higher_cap_keeps_every_in_cap_class_of_drawn_systems(axioms, rules):
+    assert_cap_monotone(SplicingSystem(tuple(axioms), tuple(rules)), 5)
