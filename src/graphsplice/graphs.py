@@ -19,7 +19,6 @@ from .errors import CapExceededError, InvalidGraphError, InvalidOrderingError
 
 # nodes one canonical-form search may visit before it gives up
 CANON_NODE_BUDGET = 1_000_000
-ISO_ORDER_CAP = 10  # largest order is_isomorphic canonicalizes
 
 Edge = tuple[int, int]
 
@@ -259,120 +258,313 @@ def is_simple(g: PlfGraph) -> bool:
 
 
 def _canonical_search(order: int, edges) -> bytes:
-    """Smallest upper-triangle multiplicity vector over relabelings.
+    """Isomorphism-complete key of a graph: the upper-triangle
+    multiplicity vector of its canonical layout, column by column (for
+    each position p the entries (1,p), (2,p), ..., (p-1,p)).
 
-    Positions are ordered by non-increasing degree and each vertex may only
-    occupy a position whose target degree matches its own.  The vector lists
-    multiplicities column by column: for each position p the entries
-    (1,p), (2,p), ..., (p-1,p).  Two graphs get equal encodings iff they
-    are isomorphic.
+    The layout comes from one individualization-refinement search
+    (McKay & Piperno, "Practical graph isomorphism, II", 2014).  A node
+    is an ordered partition of the vertices, held as a `lab` array of
+    vertices plus the start and end of each cell.  The root starts from
+    the cells of equal degree, sorted by non-increasing degree; every
+    node is refined to the coarsest equitable partition below it (colour
+    refinement, with a queue of splitter cells): each cell whose members
+    count different numbers of edges into a splitter is split, in order
+    of increasing count.  A node whose non-singleton cells are each one
+    twin class (vertices whose multiplicity rows agree outside the pair,
+    so any order of them gives the same vector) is a leaf; any other
+    node individualizes each vertex of its first cell that is not one
+    twin class in turn, as a singleton cell in front of the rest, and
+    refines again.
 
-    Three rules prune the search, and none of them changes the minimum:
+    The refinement trace records every split and individualization as
+    positions and counts, so it does not depend on vertex names.
+    Leaves compare by (trace, vector), and the key is the vector of the
+    smallest leaf.  Three rules prune the tree without changing that
+    minimum:
 
-    - Minimum column.  Column p follows the placed prefix directly, and any
-      vertex of the right degree can still be completed to a full layout,
-      so the minimum below a node places at p a vertex whose column (its
-      multiplicities to the placed vertices) is the smallest there.  Only
-      the candidates that tie for that column are tried.
-    - One placement per twin class.  Twins are vertices whose multiplicity
-      rows agree outside the pair itself; the relation is transitive.
-      Unplaced twins share a column, so each node builds one column per
-      class, and swapping two of them is an automorphism that fixes the
-      prefix, so one member of each tied class is placed.
-    - Column bound.  `tight` says the prefix equals the best vector's
-      prefix so far; only then is the new column compared with the best
-      vector's column p.  Once a prefix is smaller, every completion of it
-      is smaller, and a new best found below a node makes that node tight.
+    - One child per twin class: swapping two twins is an automorphism.
+    - One child per orbit of the automorphisms found so far that fix the
+      node's individualized vertices.  A leaf equal to the first or the
+      best leaf gives such an automorphism, which maps the subtree the
+      earlier leaf lies in onto the new leaf's, so the search returns
+      to the two leaves' deepest common ancestor at once.
+    - A node whose trace exceeds the best leaf's trace is dropped: every
+      leaf below it has a larger trace.
 
     The search visits at most CANON_NODE_BUDGET nodes and recurses once
-    per position; past the budget or the interpreter's recursion limit it
-    raises CapExceededError, an order at or above the limit before it
-    builds anything.
+    per individualized vertex; past the budget or the interpreter's
+    recursion limit it raises CapExceededError, an order at or above the
+    limit before it builds anything.
     """
     n = order
     if n >= sys.getrecursionlimit():
         raise CapExceededError(
             f"canonical form of order {n} is deeper than the interpreter's stack"
         )
+    if n < 2:
+        return f"{n}|".encode()
     mult = [[0] * n for _ in range(n)]
-    deg = [0] * n
+    adj: list[list[int]] = [[] for _ in range(n)]
     for u, v in edges:
-        mult[u - 1][v - 1] += 1
-        mult[v - 1][u - 1] += 1
-        deg[u - 1] += 1
-        deg[v - 1] += 1
-    target = sorted(deg, reverse=True)
-    # twin classes in the order of their smallest member, each the list
-    # of its unplaced members; the search places a class's members from
-    # the back, so its first member, unplaced while any member is, gives
-    # the row that every unplaced member's column is read from
-    classes: list[list[int]] = []
-    for v in range(n):
-        for cls in classes:
-            u = cls[0]
-            if deg[u] == deg[v] and all(
-                mult[u][w] == mult[v][w] for w in range(n) if w != u and w != v
-            ):
-                cls.append(v)
+        u -= 1
+        v -= 1
+        mult[u][v] += 1
+        mult[v][u] += 1
+        adj[u].append(v)
+        adj[v].append(u)
+    tally = [0] * n  # scratch: edges from a splitter of several vertices
+
+    def refine(lab, cell, end, queue, cells, trace):
+        """Refine the partition in place until it is equitable (or
+        discrete), splitting against the cells in queue; returns the new
+        number of cells and appends one event per split to trace."""
+        queued = [False] * n
+        for s in queue:
+            queued[s] = True
+        for s in queue:  # the loop sees the starts appended below
+            if cells == n:
                 break
-        else:
-            classes.append([v])
-    slot_classes = [
-        [(cls, mult[cls[0]]) for cls in classes if deg[cls[0]] == d] for d in target
-    ]
-    vec = [0] * (n * (n - 1) // 2)
-    assigned = [0] * n
-    best: list = []
+            queued[s] = False
+            e = end[s]
+            if e - s == 1:
+                # a singleton's counts are its multiplicity row
+                count = mult[lab[s]]
+                counted = adj[lab[s]]
+            else:
+                count = tally
+                counted = []
+                for v in lab[s:e]:
+                    counted += adj[v]
+                for w in counted:
+                    count[w] += 1
+            for c in sorted({cell[w] for w in counted}):
+                e = end[c]
+                if e - c == 1:
+                    continue
+                if e - c == 2:
+                    a, b = lab[c], lab[c + 1]
+                    if count[a] == count[b]:
+                        continue
+                    if count[a] > count[b]:
+                        a, b = b, a
+                        lab[c], lab[c + 1] = a, b
+                    cell[b] = c + 1
+                    end[c] = c + 1
+                    end[c + 1] = e
+                    trace.append((c, count[a], c + 1, count[b], e))
+                    cells += 1
+                    queued[c + 1] = True
+                    queue.append(c + 1)
+                    continue
+                members = lab[c:e]
+                values = [count[w] for w in members]
+                if min(values) == max(values):
+                    continue
+                members.sort(key=count.__getitem__)
+                lab[c:e] = members
+                event = [c]
+                starts = []
+                start, last = c, count[members[0]]
+                for i in range(c + 1, e):
+                    w = members[i - c]
+                    if count[w] != last:
+                        event += (last, i)
+                        end[start] = i
+                        starts.append(start)
+                        start, last = i, count[w]
+                    cell[w] = start
+                event += (last, e)
+                end[start] = e
+                starts.append(start)
+                trace.append(tuple(event))
+                cells += len(starts) - 1
+                if queued[c]:
+                    fresh = starts[1:]
+                else:
+                    # the counts into the largest fragment follow from
+                    # those into the old cell and the other fragments
+                    sizes = [end[x] - x for x in starts]
+                    del starts[sizes.index(max(sizes))]
+                    fresh = starts
+                for x in fresh:
+                    queued[x] = True
+                queue += fresh
+            if count is tally:
+                for w in counted:
+                    tally[w] = 0
+        return cells
+
+    def leaf_vector(lab):
+        """The upper triangle of the matrix in lab order, column by column."""
+        pick = operator.itemgetter(*lab)
+        vector = []
+        for p in range(1, n):
+            vector += pick(mult[lab[p]])[:p]
+        return vector
+
+    # the root: cells of equal degree, highest degree first
+    deg = [len(a) for a in adj]
+    lab = sorted(range(n), key=deg.__getitem__, reverse=True)
+    cell = [0] * n
+    end = [0] * n
+    starts = []
+    start = 0
+    for i in range(1, n + 1):
+        if i == n or deg[lab[i]] != deg[lab[start]]:
+            end[start] = i
+            starts.append(start)
+            for w in lab[start:i]:
+                cell[w] = start
+            start = i
+    cells = len(starts)
+    if cells > 1:
+        # the degree partition is already equitable against the whole
+        # vertex set, so one cell may stay out of the queue
+        sizes = [end[x] - x for x in starts]
+        del starts[sizes.index(max(sizes))]
+    trace: list = []
+    cells = refine(lab, cell, end, starts, cells, trace)
+
+    def twins(u, v):
+        """Whether the rows of u and v agree outside the pair."""
+        row_u, row_v = mult[u], mult[v]
+        m = row_u[v]
+        if not m:
+            return row_u == row_v
+        row_u[u] = row_v[v] = m
+        same = row_u == row_v
+        row_u[u] = row_v[v] = 0
+        return same
+
+    # twin classes, as the first member of each; twins share a cell of
+    # every equitable partition until one of them is individualized.  An
+    # adjacent twin is found among the neighbours, a non-adjacent one by
+    # an equal row.
+    twin = list(range(n))
+    rows = {}
+    for v in range(n):
+        c = cell[v]
+        if end[c] - c > 1:
+            for w in adj[v]:
+                if w < v and cell[w] == c and twins(v, w):
+                    twin[v] = twin[w]
+                    break
+            else:
+                twin[v] = rows.setdefault(tuple(mult[v]), v)
+
+    def target_cell(lab, end):
+        """Start of the first cell that is not one twin class, or -1."""
+        c = 0
+        while c < n:
+            e = end[c]
+            if e - c > 1:
+                t = twin[lab[c]]
+                for i in range(c + 1, e):
+                    if twin[lab[i]] != t:
+                        return c
+            c = e
+        return -1
+
+    first = best = None  # (trace, vector, lab, individualized)
+    autos = []  # automorphisms found, each as a list v -> image
     nodes = 0
 
-    def search(p, pos, tight):
-        """Search below the prefix assigned[:p]; True when best changed."""
-        nonlocal best, nodes
+    def search(lab, cell, end, cells, trace, fixed):
+        """Explore the node; return the depth to unwind to, n when
+        the search goes on with this node's parent."""
+        nonlocal first, best, nodes
         nodes += 1
         if nodes > CANON_NODE_BUDGET:
             raise CapExceededError(
                 f"canonical form of order {n} needs more than "
                 f"{CANON_NODE_BUDGET} search nodes"
             )
-        if p == n:
-            if tight:
-                return False
-            best = vec[:]
-            return True
-        placed = assigned[:p]
-        low = None
-        ties = []
-        for cls, row in slot_classes[p]:
-            if not cls:
+        if best is not None and trace > best[0][: len(trace)]:
+            return n
+        c = target_cell(lab, end)
+        if c < 0:
+            vec = leaf_vector(lab)
+            if best is None:
+                first = best = (trace, vec, lab, fixed)
+                return n
+            for seen in (first, best):
+                if seen[0] == trace and seen[1] == vec:
+                    image = list(range(n))
+                    for v, w in zip(seen[2], lab):
+                        image[v] = w
+                    autos.append(image)
+                    depth = 0
+                    for a, b in zip(seen[3], fixed):
+                        if a != b:
+                            break
+                        depth += 1
+                    return depth
+            if (trace, vec) < best[:2]:
+                best = (trace, vec, lab, fixed)
+            return n
+        e = end[c]
+        members = lab[c:e]
+        level = len(fixed)
+        root = list(range(n))
+
+        def find(w):
+            while root[w] != w:
+                root[w] = root[root[w]]
+                w = root[w]
+            return w
+
+        known = -1
+        tried = []
+        for v in members:
+            if known != len(autos):
+                # orbits of the cell under the twin swaps and the
+                # automorphisms found so far that fix `fixed`
+                known = len(autos)
+                lead = {}
+                for w in members:
+                    root[w] = lead.setdefault(twin[w], w)
+                for image in autos:
+                    if all(image[x] == x for x in fixed):
+                        for w in members:
+                            a, b = find(w), find(image[w])
+                            if a != b:
+                                root[max(a, b)] = min(a, b)
+                orbits = {find(w) for w in tried}
+            o = find(v)
+            if o in orbits:
                 continue
-            col = [row[a] for a in placed]
-            if low is None or col < low:
-                low, ties = col, [cls]
-            elif col == low:
-                ties.append(cls)
-        end = pos + p
-        if tight:
-            head = best[pos:end]
-            if low > head:
-                return False
-            tight = low == head
-        vec[pos:end] = low
-        changed = False
-        for cls in ties:
-            v = cls.pop()
-            assigned[p] = v
-            if search(p + 1, end, tight):
-                changed = tight = True
-            cls.append(v)
-        return changed
+            orbits.add(o)
+            tried.append(v)
+            child = lab[:]
+            i = child.index(v, c, e)
+            child[i] = child[c]
+            child[c] = v
+            child_cell = cell[:]
+            child_end = end[:]
+            child_end[c] = c + 1
+            child_end[c + 1] = e
+            for w in child[c + 1 : e]:
+                child_cell[w] = c + 1
+            child_trace = trace + [(-1, c)]
+            child_cells = refine(
+                child, child_cell, child_end, [c], cells + 1, child_trace
+            )
+            depth = search(
+                child, child_cell, child_end, child_cells, child_trace,
+                fixed + [v],
+            )
+            if depth < level:
+                return depth
+        return n
 
     try:
-        search(0, 0, False)
+        search(lab, cell, end, cells, trace, [])
     except RecursionError:
         raise CapExceededError(
             f"canonical form of order {n} is deeper than the interpreter's stack"
         ) from None
-    return f"{n}|".encode() + ",".join(map(str, best)).encode()
+    return f"{n}|{','.join(map(str, best[1]))}".encode()
 
 
 @lru_cache(maxsize=65536)
@@ -384,30 +576,26 @@ def canonical_form(g: PlfGraph) -> bytes:
     """Isomorphism-complete encoding of g, searched once per distinct
     (order, edges) and cached.
 
-    Any order is accepted.  The search branches on twin classes, one
-    column and one placement per class, so edgeless, complete and
-    complete bipartite graphs take a linear number of nodes.  Graphs
-    without twins such as long cycles still grow exponentially, so a
-    search that visits more than CANON_NODE_BUDGET nodes, or one deeper
-    than the interpreter's stack, raises CapExceededError; an order at
-    or above the recursion limit is refused before any search work.  A
-    failed search is not cached.
+    Any order is accepted.  Colour refinement settles most vertices
+    before the search branches, and the branches are cut by twin classes
+    and by the automorphisms found on the way: a cycle of any length
+    takes at most a dozen search nodes, unions of cycles of order up to
+    16 a few dozen, and complete, complete bipartite and edgeless graphs
+    one to three.  A search that visits more than
+    CANON_NODE_BUDGET nodes, or one deeper than the interpreter's stack,
+    raises CapExceededError; an order at or above the recursion limit is
+    refused before any search work.  A failed search is not cached.
     """
     return _canon_cached(g.order, g.edges)
 
 
 def is_isomorphic(g: PlfGraph, h: PlfGraph) -> bool:
     """Order, size and sorted degrees first; pairs that agree on all
-    three are compared by canonical form up to order ISO_ORDER_CAP and
-    refused with CapExceededError above it."""
+    three are compared by canonical form."""
     if g.order != h.order or g.size != h.size:
         return False
     if sorted(degree_profile(g).total) != sorted(degree_profile(h).total):
         return False
-    if g.order > ISO_ORDER_CAP:
-        raise CapExceededError(
-            f"canonical form of order {g.order} exceeds cap {ISO_ORDER_CAP}"
-        )
     return canonical_form(g) == canonical_form(h)
 
 

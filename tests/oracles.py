@@ -1,7 +1,7 @@
 """Brute-force oracles the engine is tested against.
 
 Everything here is deliberately naive: permutation search for
-isomorphism, the unpruned degree-respecting canonical search, component
+isomorphism, an unpruned degree-respecting canonical search, component
 counting for cycles, color enumeration for bipartiteness, one sigma_pair
 call per ordered pair and rule pair for the law sweeps and per ordered
 pair and rule for the closure.  Slow but obviously correct on small
@@ -68,9 +68,10 @@ def _cmp_prefix(a, b, length):
     return 0
 
 
-# The canonical search as it was before column, twin and column-bound
-# pruning: every degree-respecting layout, cut only by a whole-prefix
-# comparison.  graphs._canonical_search must return the same bytes.
+# The degree-sorted minimum-vector search that individualization-
+# refinement replaced: every degree-respecting layout, cut only by a
+# whole-prefix comparison.  Its keys differ from graphs._canonical_search's,
+# but the two must split graphs into the same classes.
 def reference_canonical(order: int, edges) -> bytes:
     """Smallest upper-triangle multiplicity vector over relabelings.
 

@@ -33,14 +33,14 @@ def test_benchmark_job_reproduces_its_pinned_output(job):
 
 
 # sha256 of `graphsplice lang jobs/<job>.plfs` stdout.  The expected
-# summaries above pin counts only; these pin every representative and
-# the order of the classes as well.  ROADMAP items 3 (a new canonical
-# encoding) and 4 (layout-exact closure) change these bytes on purpose
-# and will re-pin them.
+# summaries above pin counts only; these pin every representative, the
+# order of the classes and their canonical keys as well.  ROADMAP item 4
+# (layout-exact closure) changes these bytes on purpose and will re-pin
+# them.
 LANG_SHA256 = {
-    "gap": "7bc66b634483bcec3f903ec919882580f1caf7af093c10d421c3a9792699e4d7",
-    "split": "7047b5eaac2813a224472242e845aa0b9948fa5c07c328f2f72affcd0fd9e646",
-    "triangle": "9fc76b28dd8cdab450b513a7a169d11cc36e691d7aa37e78c8eb2cf7cc1e8402",
+    "gap": "ce259023b8fba46b78e9aa6ec36cd69a9741aff7eea83405a5fca92295d2b287",
+    "split": "fbec7e08a31f239c93dd01a74addfd3fee08d988ee91a4fa9ab0eb5838a4ecd6",
+    "triangle": "e0255949114b74cf8aeb20a7e8690d303f8496a4bb040b6ff213ec0edb4b57e6",
     "edgeless": "12114f2b51ab784053822a9734022baffba6c7a43b337a27087661ad69119e1b",
 }
 

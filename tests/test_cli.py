@@ -289,20 +289,30 @@ def test_lang_power_cap_exit(capsys, tmp_path):
 
 
 def test_lang_search_deeper_than_the_stack_exits_4(capsys, tmp_path):
-    # a valid system whose one axiom is edgeless: its canonical search
-    # needs a frame per position, 300 against 200 left on the stack
-    system = tmp_path / "wide.plfs"
-    system.write_text("plfs 1\naxiom 300 :\nrule 1,2 : 1,2\nmax-order 300\n")
-    graphs_module._canon_cached.cache_clear()
+    # a valid system whose one axiom is a matching just below the
+    # recursion limit: its canonical search recurses once per edge but
+    # the last, more levels than the 25 frames left on the stack
+    small = tmp_path / "small.plfs"
+    small.write_text("plfs 1\naxiom 2 : 1-2\nrule 1,2 : 1,2\n")
+    assert main(["lang", str(small)]) == 0  # argparse compiles its patterns
+    capsys.readouterr()
     limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(len(inspect.stack(0)) + 200)
+    low_limit = len(inspect.stack(0)) + 25
+    edges = (low_limit - 1) // 2
+    order = 2 * edges
+    system = tmp_path / "deep.plfs"
+    matching = " ".join(f"{2 * i - 1}-{2 * i}" for i in range(1, edges + 1))
+    system.write_text(f"plfs 1\naxiom {order} : {matching}\nrule 1,2 : 1,2\n"
+                      f"max-order {order}\n")
+    graphs_module._canon_cached.cache_clear()
+    sys.setrecursionlimit(low_limit)
     try:
         code = main(["lang", str(system)])
     finally:
         sys.setrecursionlimit(limit)
     assert code == 4
     assert capsys.readouterr().err == (
-        "error: canonical form of order 300 is deeper than the interpreter's stack\n")
+        f"error: canonical form of order {order} is deeper than the interpreter's stack\n")
 
 
 def test_lang_order_past_the_stack_exits_4_at_once(tmp_path):
@@ -421,15 +431,22 @@ def test_iso_on_edgeless_order_10(capsys, tmp_path):
     assert json.loads(out) == {"isomorphic": True}
 
 
-def test_iso_order_cap(capsys, tmp_path):
+def test_iso_above_order_10(capsys, tmp_path):
     a = tmp_path / "a.plfg"
     b = tmp_path / "b.plfg"
-    a.write_text(write_graph(path(11)))
-    b.write_text(write_graph(to_plf(11, path(11).edges, tuple(range(11, 0, -1)))))
-    assert main(["iso", str(a), str(b)]) == 4
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: canonical form of order 11 exceeds cap 10\n"
+    a.write_text(write_graph(cycle(16)))
+    b.write_text(write_graph(to_plf(16, cycle(16).edges,
+                                    (5, 12, 1, 9, 16, 3, 14, 7, 2, 11, 8, 15, 4, 10, 13, 6))))
+    code, out = run_cli(capsys, "iso", str(a), str(b))
+    assert code == 0
+    assert json.loads(out) == {"isomorphic": True}
+
+    # C8 + C8 has the order, size and degrees of C16
+    two_c8 = PlfGraph(16, cycle(8).edges + tuple((u + 8, v + 8) for u, v in cycle(8).edges))
+    b.write_text(write_graph(two_c8))
+    code, out = run_cli(capsys, "iso", str(a), str(b))
+    assert code == 0
+    assert json.loads(out) == {"isomorphic": False}
 
     b.write_text(write_graph(cycle(11)))
     code, out = run_cli(capsys, "iso", str(a), str(b))
@@ -444,7 +461,7 @@ def test_iso_search_budget_exit(capsys, monkeypatch, tmp_path):
     b.write_text(write_graph(to_plf(10, cycle(10).edges,
                                     (2, 4, 6, 8, 10, 1, 3, 5, 7, 9))))
     graphs_module._canon_cached.cache_clear()
-    monkeypatch.setattr(graphs_module, "CANON_NODE_BUDGET", 100)
+    monkeypatch.setattr(graphs_module, "CANON_NODE_BUDGET", 2)
     assert main(["iso", str(a), str(b)]) == 4
     assert "search nodes" in capsys.readouterr().err
 

@@ -6,6 +6,7 @@ from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import graphsplice.graphs as graphs_module
 
@@ -238,6 +239,10 @@ def test_known_canonical_encodings():
     assert canonical_form(cycle(4)) == b"4|0,1,1,1,1,0"
     assert canonical_form(cycle(5)) == b"5|0,0,1,1,0,1,1,1,0,0"
     assert canonical_form(double_edge()) == b"2|2"
+    # the layout of the smallest leaf, not the smallest vector over all
+    # degree-sorted layouts (b"6|0,0,0,0,1,1,1,0,1,0,1,1,0,0,0" for C6)
+    assert canonical_form(cycle(6)) == b"6|0,0,1,0,1,0,1,0,0,1,1,0,1,0,0"
+    assert canonical_form(path(5)) == b"5|1,1,0,0,0,1,0,1,0,0"
 
 
 def test_canonical_form_invariant_under_relabeling():
@@ -249,41 +254,55 @@ def test_canonical_form_invariant_under_relabeling():
 
 def test_canonical_form_takes_any_order():
     p11 = path(11)
-    assert canonical_form(p11) == reference_canonical(11, p11.edges)
+    assert canonical_form(p11) == canonical_form(relabel(p11, tuple(range(11, 0, -1))))
     # the reference would try all 20! layouts of the edgeless graph, whose
     # vector is all zeros
     for n in (20, 400):
         zeros = b",".join([b"0"] * (n * (n - 1) // 2))
         assert canonical_form(PlfGraph(n, ())) == f"{n}|".encode() + zeros
+    c400 = cycle(400)
+    rotated = relabel(c400, tuple(range(2, 401)) + (1,))
+    assert canonical_form(c400) == canonical_form(rotated)
+    assert canonical_form(c400) != canonical_form(
+        _disjoint_union(cycle(200), cycle(200)))
 
 
-def test_is_isomorphic_caps_the_order_after_the_cheap_checks():
-    p11 = path(11)
-    flipped = relabel(p11, tuple(range(11, 0, -1)))
-    with pytest.raises(CapExceededError, match="order 11 exceeds cap 10"):
-        is_isomorphic(p11, flipped)
-    # P11 and C11 differ in size, which answers before the cap applies
-    assert is_isomorphic(p11, cycle(11)) is False
+def test_is_isomorphic_decides_any_order_after_the_cheap_checks():
+    c16 = cycle(16)
+    layout = list(range(1, 17))
+    random.Random(16).shuffle(layout)
+    assert is_isomorphic(c16, relabel(c16, tuple(layout))) is True
+    # same order, size and degrees, so only the canonical forms tell
+    assert is_isomorphic(c16, _disjoint_union(cycle(8), cycle(8))) is False
+    # P11 and C11 differ in size, which answers before any search
+    assert is_isomorphic(path(11), cycle(11)) is False
+
+
+def _matching(k):
+    """k disjoint edges.  The two ends of an edge are twins and nothing
+    else is, so the search individualizes one end of every edge but the
+    last, one recursion level each."""
+    return PlfGraph(2 * k, tuple((2 * i - 1, 2 * i) for i in range(1, k + 1)))
 
 
 def test_search_deeper_than_the_stack_raises_cap_exceeded():
-    # the search recurses once per position: an order at the limit is
-    # refused up front; limit - 1 positions pass that check but cannot fit
-    # above the current depth
-    low_limit = len(inspect.stack(0)) + 100
+    # the search recurses once per individualized vertex: an order at the
+    # limit is refused up front; a matching below the limit passes that
+    # check, but its levels cannot fit above the current depth
+    low_limit = len(inspect.stack(0)) + 20
     limit = sys.getrecursionlimit()
     graphs_module._canon_cached.cache_clear()
-    for order in (low_limit, low_limit - 1):
-        edgeless = PlfGraph(order, ())
+    deep = _matching((low_limit - 1) // 2)
+    for g in (PlfGraph(low_limit, ()), deep):
         sys.setrecursionlimit(low_limit)
         try:
             with pytest.raises(CapExceededError, match="interpreter's stack"):
-                canonical_form(edgeless)
+                canonical_form(g)
         finally:
             sys.setrecursionlimit(limit)
-        # the failure is not cached: the full stack finishes the search
-        zeros = b",".join([b"0"] * (order * (order - 1) // 2))
-        assert canonical_form(edgeless) == f"{order}|".encode() + zeros
+    # the failure is not cached: the full stack finishes the search
+    assert canonical_form(deep) == \
+        canonical_form(relabel(deep, tuple(range(deep.order, 0, -1))))
 
 
 def test_search_deeper_than_the_stack_is_refused_before_the_matrix():
@@ -385,24 +404,35 @@ def test_isomorphic_graphs_share_canonical_form(g):
         assert canonical_form(h) == canonical_form(g)
 
 
-def _search_matches_reference(g):
-    assert graphs_module._canonical_search(g.order, g.edges) == \
-        reference_canonical(g.order, g.edges), g
+def _search_matches_reference(graphs):
+    """Two of the graphs get equal keys exactly when the reference search
+    gives them equal keys: the two encodings differ, their partitions
+    into classes do not."""
+    to_reference = {}
+    to_search = {}
+    for g in graphs:
+        key = graphs_module._canonical_search(g.order, g.edges)
+        reference = reference_canonical(g.order, g.edges)
+        assert to_reference.setdefault(key, reference) == reference, g
+        assert to_search.setdefault(reference, key) == key, g
+    return len(to_search)
 
 
 def test_search_matches_reference_on_all_simple_graphs():
-    checked = 0
-    for n in range(7):
-        for g in enumerate_simple_graphs(n):
-            _search_matches_reference(g)
-            checked += 1
-    assert checked == 33868
+    graphs = [g for n in range(7) for g in enumerate_simple_graphs(n)]
+    assert len(graphs) == 33868
+    # the isomorphism classes of simple graphs of order 0 to 6
+    assert _search_matches_reference(graphs) == 1 + 1 + 2 + 4 + 11 + 34 + 156
 
 
 @settings(max_examples=150, deadline=None)
-@given(plf_graphs(min_order=1, max_order=8, max_edges=16))
-def test_search_matches_reference_on_multigraphs(g):
-    _search_matches_reference(g)
+@given(plf_graphs(min_order=1, max_order=8, max_edges=16),
+       plf_graphs(min_order=1, max_order=8, max_edges=16),
+       st.randoms(use_true_random=False))
+def test_search_matches_reference_on_multigraphs(g, h, rng):
+    layout = list(range(1, g.order + 1))
+    rng.shuffle(layout)
+    _search_matches_reference([g, relabel(g, tuple(layout)), h])
 
 
 def _disjoint_union(*parts):
@@ -463,26 +493,95 @@ def test_search_matches_reference_on_symmetric_families():
     family.append(two_k4)
     # K4; K_{3,3} and the prism; the five connected cubic graphs of order 8
     assert {n: len(keys) for n, keys in cubic_classes.items()} == {4: 1, 6: 2, 8: 5}
-    for g in family:
-        _search_matches_reference(g)
+    _search_matches_reference(family)
+
+
+def _torus_graph(steps):
+    """The Cayley graph of Z4 x Z4 whose edges join vertices that differ
+    by one of the steps or their negatives."""
+    index = {(a, b): 4 * a + b + 1 for a in range(4) for b in range(4)}
+    edges = {tuple(sorted((index[a, b], index[(a + x) % 4, (b + y) % 4])))
+             for a, b in index for x, y in steps}
+    return PlfGraph(16, tuple(sorted(edges)))
+
+
+def test_search_is_invariant_where_refinement_stalls():
+    """The Shrikhande graph and the 4x4 rook's graph are both strongly
+    regular with parameters (16, 6, 2, 2), so colour refinement leaves
+    each one cell, also after one vertex is individualized; only the
+    search tells them apart.  In their disjoint union an automorphism of
+    one part that does not fix the individualized vertex must not prune
+    the other part's branches."""
+    shrikhande = _torus_graph([(1, 0), (0, 1), (1, 1)])
+    rook = _torus_graph([(1, 0), (2, 0), (0, 1), (0, 2)])
+    assert is_regular(shrikhande) == is_regular(rook) == 6
+    both = _disjoint_union(shrikhande, rook)
+    rng = random.Random(16)
+    keys = {}
+    for name, g in [("shrikhande", shrikhande), ("rook", rook), ("both", both),
+                    ("both", _disjoint_union(rook, shrikhande))]:
+        for _ in range(8):
+            layout = list(range(1, g.order + 1))
+            rng.shuffle(layout)
+            h = relabel(g, tuple(layout))
+            key = graphs_module._canonical_search(h.order, h.edges)
+            assert keys.setdefault(name, key) == key, name
+    assert keys["shrikhande"] != keys["rook"]
 
 
 def test_search_node_budget(monkeypatch):
     c12 = cycle(12)
     graphs_module._canon_cached.cache_clear()
-    monkeypatch.setattr(graphs_module, "CANON_NODE_BUDGET", 100)
+    monkeypatch.setattr(graphs_module, "CANON_NODE_BUDGET", 2)
     with pytest.raises(CapExceededError, match="search nodes"):
         canonical_form(c12)
     monkeypatch.undo()
     # the failure is not cached: the real budget finishes the search
-    assert canonical_form(c12) == reference_canonical(12, c12.edges)
+    assert canonical_form(c12) == canonical_form(relabel(c12, tuple(range(12, 0, -1))))
 
 
-def test_twin_classes_search_in_linear_nodes(monkeypatch):
-    # edgeless and complete graphs are one twin class: one node per position
-    monkeypatch.setattr(graphs_module, "CANON_NODE_BUDGET", 21)
-    assert graphs_module._canonical_search(20, ()) == b"20|" + b",".join(
-        [b"0"] * 190)
-    k20 = complete(20)
-    assert graphs_module._canonical_search(20, k20.edges) == b"20|" + b",".join(
-        [b"1"] * 190)
+def _cycle_unions(total, smallest=3):
+    """Every disjoint union of cycles of the given total order, one per
+    multiset of cycle lengths."""
+    if total == 0:
+        yield PlfGraph(0, ())
+        return
+    for k in range(smallest, total + 1):
+        for rest in _cycle_unions(total - k, k):
+            yield _disjoint_union(cycle(k), rest)
+
+
+def _chorded_cycle(n, rng):
+    """The n-cycle plus a random perfect matching of chords."""
+    rim = {(i, i % n + 1) for i in range(1, n)} | {(1, n)}
+    while True:
+        ends = list(range(1, n + 1))
+        rng.shuffle(ends)
+        chords = {tuple(sorted(ends[i:i + 2])) for i in range(0, n, 2)}
+        if not chords & rim:
+            return PlfGraph(n, tuple(sorted(rim)) + tuple(sorted(chords)))
+
+
+def test_search_nodes_stay_few_on_symmetric_families(monkeypatch):
+    """Each family gets a budget a little above the most nodes measured
+    on it over 25 random layouts of every member: cycles 12, unions of
+    cycles 59, chorded cycles 19, K_{a,b} 3 (K_{a,a}: the root and one
+    leaf per side).  Complete and edgeless graphs are one twin class, so
+    the root is their leaf."""
+    rng = random.Random(2014)
+    families = [
+        (16, [cycle(n) for n in range(3, 41)]),
+        (80, [g for n in range(3, 17) for g in _cycle_unions(n)]),
+        (32, [g for n in (4, 6, 8) for g in _cubic_graphs(n)]
+         + [_chorded_cycle(n, rng) for n in range(10, 17, 2) for _ in range(5)]),
+        (3, [complete_bipartite(a, b) for a in range(1, 16) for b in range(1, 17 - a)]),
+        (1, [complete(n) for n in range(1, 17)] + [PlfGraph(n, ()) for n in range(17)]),
+    ]
+    for budget, family in families:
+        monkeypatch.setattr(graphs_module, "CANON_NODE_BUDGET", budget)
+        for g in family:
+            key = graphs_module._canonical_search(g.order, g.edges)
+            layout = list(range(1, g.order + 1))
+            rng.shuffle(layout)
+            h = relabel(g, tuple(layout))
+            assert graphs_module._canonical_search(h.order, h.edges) == key, g

@@ -183,10 +183,30 @@ def test_triangle_closure_saturates():
     assert max(g.representative.order for g in res.classes.values()) == 9
 
 
+# raw products of the triangle system per iteration while it grows one
+# cycle class per iteration
+TRIANGLE_RAW = [0, 4, 24, 48, 80, 120, 168, 224, 288, 360, 440, 528, 624,
+                728, 840, 960, 1088, 1224, 1368]
+
+
+@pytest.mark.parametrize("max_order", [16, 20])
+def test_triangle_closure_saturates_past_order_16(max_order):
+    """The running example closes at any cap: the double edge and every
+    cycle up to one past the cap, the last of them never re-spliced."""
+    system = SplicingSystem((cycle(3),), (RUNNING_RULE,))
+    res = language(system, LanguageConfig(max_iterations=30, max_order=max_order))
+    assert res.saturated
+    assert len(res) == max_order
+    raws = TRIANGLE_RAW[:max_order - 1]
+    assert [t.raw_products for t in res.trace] == raws + raws[-1:]
+    assert contains(res, double_edge())
+    assert all(contains(res, cycle(k)) for k in range(3, max_order + 2))
+
+
 def test_edgeless_system_finishes():
     """Edgeless axiom, two gap rules, max-order 10: every product is
-    edgeless, a single twin class, so each canonical form takes one
-    search node per vertex."""
+    edgeless, a single twin class, so each canonical form is a leaf at
+    the root of its search."""
     system = SplicingSystem((PlfGraph(4, ()),),
                             (make_rule((2, 3), (1, 2)), make_rule((3, 4), (1, 2))))
     res = language(system, LanguageConfig(max_iterations=4, max_order=10))
