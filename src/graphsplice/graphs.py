@@ -578,10 +578,10 @@ def canonical_form(g: PlfGraph) -> bytes:
 
     Any order is accepted.  Colour refinement settles most vertices
     before the search branches, and the branches are cut by twin classes
-    and by the automorphisms found on the way: a cycle of any length
-    takes at most a dozen search nodes, unions of cycles of order up to
-    16 a few dozen, and complete, complete bipartite and edgeless graphs
-    one to three.  A search that visits more than
+    and by the automorphisms found on the way: cycles took at most a
+    dozen search nodes in every layout measured, unions of cycles of
+    order up to 16 a few dozen, and complete, complete bipartite and
+    edgeless graphs take one to three.  A search that visits more than
     CANON_NODE_BUDGET nodes, or one deeper than the interpreter's stack,
     raises CapExceededError; an order at or above the recursion limit is
     refused before any search work.  A failed search is not cached.
