@@ -342,21 +342,6 @@ def _canonical_search(order: int, edges) -> bytes:
                 e = end[c]
                 if e - c == 1:
                     continue
-                if e - c == 2:
-                    a, b = lab[c], lab[c + 1]
-                    if count[a] == count[b]:
-                        continue
-                    if count[a] > count[b]:
-                        a, b = b, a
-                        lab[c], lab[c + 1] = a, b
-                    cell[b] = c + 1
-                    end[c] = c + 1
-                    end[c + 1] = e
-                    trace.append((c, count[a], c + 1, count[b], e))
-                    cells += 1
-                    queued[c + 1] = True
-                    queue.append(c + 1)
-                    continue
                 members = lab[c:e]
                 values = [count[w] for w in members]
                 if min(values) == max(values):

@@ -529,6 +529,25 @@ def test_search_is_invariant_where_refinement_stalls():
     assert keys["shrikhande"] != keys["rook"]
 
 
+def test_search_unwinds_no_further_than_the_common_ancestor():
+    """In a union of cycles of different lengths every vertex has degree
+    2, so the root is one cell and its first child lies on whichever
+    cycle the layout puts first.  The first automorphism found swaps
+    vertices below that child, and the leaf with the smallest trace may
+    lie below a vertex of another cycle: a search that unwinds past the
+    two leaves' deepest common ancestor never reaches it, and the key
+    then depends on the layout."""
+    rng = random.Random(2013)
+    for lengths in [(6, 3, 3), (7, 4, 3), (9, 3, 3, 3), (8, 5, 3)]:
+        g = _disjoint_union(*map(cycle, lengths))
+        key = graphs_module._canonical_search(g.order, g.edges)
+        for _ in range(12):
+            layout = list(range(1, g.order + 1))
+            rng.shuffle(layout)
+            h = relabel(g, tuple(layout))
+            assert graphs_module._canonical_search(h.order, h.edges) == key, lengths
+
+
 def test_search_node_budget(monkeypatch):
     c12 = cycle(12)
     graphs_module._canon_cached.cache_clear()
