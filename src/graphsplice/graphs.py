@@ -549,6 +549,9 @@ def _canonical_search(order: int, edges) -> bytes:
         raise CapExceededError(
             f"canonical form of order {n} is deeper than the interpreter's stack"
         ) from None
+    finally:
+        # search holds itself through its cell: free the working set now
+        del search
     return f"{n}|{','.join(map(str, best[1]))}".encode()
 
 

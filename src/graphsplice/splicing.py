@@ -7,9 +7,9 @@ Suffix(G).  With m hanging edges per fragment there are m! bijections per
 direction, hence 2(m!) products, every one of which is emitted with its
 provenance.  join is the one weld: it builds the m! products of one
 (prefix, suffix) pair.  recombine runs it for both directions of two
-cuts (sigma_pair feeds it fresh cuts, the regularity report cuts from
-per-graph tables), and the closure and the law sweeps run it once per
-distinct fragment pair, keyed by fragment_key.
+cuts (sigma_pair feeds it fresh cuts), and the closure, the law sweeps
+and the regularity report run it once per distinct fragment pair,
+keyed by fragment_key.
 """
 
 from __future__ import annotations
@@ -91,18 +91,20 @@ def join(prefix: Fragment, suffix: Fragment) -> list[PlfGraph]:
     merged = prefix.half_vertex is not None
     offset = prefix.end - suffix.start + (0 if merged else 1)
     order = suffix.end + offset
-    intact = list(prefix.intact)
-    intact.extend((u + offset, v + offset) for u, v in suffix.intact)
-    left = [h.anchor for h in prefix.hanging]
-    right = [h.anchor + offset for h in suffix.hanging]
+    intact = [*prefix.intact,
+              *((u + offset, v + offset) for u, v in suffix.intact)]
     # The products skip PlfGraph's validation, which is sound because
     # every edge already has 1 <= u < v <= order: intact comes from
     # validated graphs (suffix edges shift by the same offset as the
     # suffix's own positions), every prefix anchor is at most prefix.end,
     # and every shifted suffix anchor is above it.  Sorting the tuple is
-    # the one normalization left.  permutations of right, like those of
-    # range(m), come in index order.
+    # the one normalization left (hand-made fragments may be unsorted).
+    # permutations of right, like those of range(m), come in index order.
     build = PlfGraph._from_sorted
+    if not m:
+        return [build(order, tuple(sorted(intact)))]
+    left = [h.anchor for h in prefix.hanging]
+    right = [h.anchor + offset for h in suffix.hanging]
     return [build(order, tuple(sorted([*intact, *zip(left, ends)])))
             for ends in permutations(right)]
 

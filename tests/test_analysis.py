@@ -22,7 +22,11 @@ from graphsplice import analysis, splicing
 from graphsplice.analysis import graphs_up_to
 from graphsplice.graphs import DegreeProfile
 from conftest import plf_graphs
-from oracles import pairwise_iso_sweep, pairwise_law_sweep
+from oracles import (
+    pairwise_iso_sweep,
+    pairwise_law_sweep,
+    recombine_regularity_report,
+)
 
 ORDER4_TREE = PlfGraph(4, ((1, 3), (2, 4), (1, 4)))
 
@@ -102,6 +106,28 @@ def test_reversal_check_catches_a_misrouted_join(monkeypatch):
     assert reports["degree-preservation"].status == "verified"
 
 
+def test_degree_check_catches_a_join_that_drops_an_edge(monkeypatch):
+    join = splicing.join
+
+    def lossy(prefix, suffix):
+        return [PlfGraph(p.order, p.edges[:-1]) for p in join(prefix, suffix)]
+
+    monkeypatch.setattr(splicing, "join", lossy)
+    reports = {r.check_id: r for r in check_splice_theorems(3, 3)}
+    assert reports["degree-preservation"].status == "violated"
+
+
+def test_order_bound_check_catches_a_join_that_adds_a_vertex(monkeypatch):
+    join = splicing.join
+
+    def padded(prefix, suffix):
+        return [PlfGraph(p.order + 1, p.edges) for p in join(prefix, suffix)]
+
+    monkeypatch.setattr(splicing, "join", padded)
+    reports = {r.check_id: r for r in check_splice_theorems(3, 3)}
+    assert reports["order-bound"].status == "violated"
+
+
 def test_splice_law_sweep_reports_only_its_laws():
     assert [r.check_id for r in check_splice_theorems(2, 3)] == [
         "product-count", "reversal", "degree-preservation", "order-bound",
@@ -113,6 +139,12 @@ def test_regularity_exceptions_are_all_reflexive():
     assert reg.status == "violated"
     assert reg.extras["violations_total"] == 104
     assert reg.extras["gap_rule_violations"] == 0
+
+
+def test_regularity_report_matches_the_recombine_oracle():
+    # instance counts, totals, the first samples and their order
+    assert analysis._regularity_report().to_dict() == \
+        recombine_regularity_report().to_dict()
 
 
 def test_fixed_witness_reports():

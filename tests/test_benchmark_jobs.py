@@ -50,3 +50,15 @@ def test_lang_output_bytes_are_pinned(capsys, job):
     assert main(["lang", str(jobs.JOBS_DIR / f"{job}.plfs")]) == 0
     out = capsys.readouterr().out.encode()
     assert hashlib.sha256(out).hexdigest() == LANG_SHA256[job]
+
+
+# sha256 of `graphsplice verify --max-order 4` stdout, which exits 1
+# because regularity-preservation is violated by design.  verify.expected.json
+# pins counts only; this pins the samples, the extras and their order.
+VERIFY_SHA256 = "abf5e65176d7dcedf2edbe824f2d2ec2fe1e67f3b2f6213ce5a2bad58d194c99"
+
+
+def test_verify_output_bytes_are_pinned(capsys):
+    assert main(["verify", "--max-order", "4"]) == 1
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == VERIFY_SHA256

@@ -1,3 +1,4 @@
+import gc
 import inspect
 import random
 import sys
@@ -546,6 +547,19 @@ def test_search_unwinds_no_further_than_the_common_ancestor():
             rng.shuffle(layout)
             h = relabel(g, tuple(layout))
             assert graphs_module._canonical_search(h.order, h.edges) == key, lengths
+
+
+def test_search_leaves_no_reference_cycle():
+    # a cycle would keep each search's matrix, adjacency lists and
+    # automorphisms alive until the cyclic collector runs
+    gc.collect()
+    gc.disable()
+    try:
+        for g in (cycle(5), complete(4), path(4)):
+            graphs_module._canonical_search(g.order, g.edges)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_search_node_budget(monkeypatch):

@@ -6,17 +6,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphsplice import (
+    CapExceededError,
     CuttingRule,
     PlfGraph,
     SplicingRule,
     SystemDefinitionError,
     canonical_form,
+    complete,
+    complete_bipartite,
     contains,
     cut,
     cycle,
     double_edge,
     enumerate_simple_graphs,
     is_isomorphic,
+    is_regular,
     language,
     make_rule,
     path,
@@ -491,3 +495,32 @@ def test_a_higher_cap_keeps_every_in_cap_class_of_small_systems():
        st.lists(_splicing_rules(3), min_size=1, max_size=2))
 def test_a_higher_cap_keeps_every_in_cap_class_of_drawn_systems(axioms, rules):
     assert_cap_monotone(SplicingSystem(tuple(axioms), tuple(rules)), 5)
+
+
+def test_gap_rule_languages_of_a_regular_axiom_stay_regular():
+    """Gap rules keep every vertex's source degree, so the language of
+    one r-regular axiom under one gap-rule pair is r-regular: every
+    pair over positions 1 to 3, run to saturation at max-order 8."""
+    axioms = (cycle(3), cycle(4), cycle(5), complete(4),
+              complete_bipartite(2, 2), complete_bipartite(3, 3))
+    rules = [make_rule((i, i + 1), (k, k + 1))
+             for i in range(1, 4) for k in range(1, 4)]
+    config = LanguageConfig(max_iterations=10, max_order=8)
+    refused = []
+    systems = classes = 0
+    for g in axioms:
+        r = is_regular(g)
+        for s in rules:
+            try:
+                res = language(SplicingSystem((g,), (s,)), config)
+            except CapExceededError:
+                refused.append((g, s))
+                continue
+            assert res.saturated
+            for info in res.classes.values():
+                assert is_regular(info.representative) == r, (g, s)
+            systems += 1
+            classes += len(res.classes)
+    # K3,3 cut at [3,4] severs all 9 edges, above SPLICE_POWER_CAP
+    assert refused == [(complete_bipartite(3, 3), make_rule((3, 4), (3, 4)))]
+    assert (systems, classes) == (53, 152)

@@ -19,7 +19,7 @@ from graphsplice import (
     recombine,
     sigma_pair,
 )
-from graphsplice.cutting import valid_rules
+from graphsplice.cutting import Fragment, valid_rules
 from graphsplice.graphs import canonical_form
 from graphsplice import splicing
 from graphsplice.splicing import SplicingRule
@@ -225,6 +225,16 @@ def test_join_builds_without_revalidating(monkeypatch):
     built = join(k5.prefix, k5.suffix)
     assert len(built) == factorial(k5.power)
     assert calls == 0
+
+
+def test_join_sorts_the_edges_of_hand_made_fragments():
+    # a cut lists its intact edges sorted, a Fragment built by hand need
+    # not; the power-0 product is sorted like every other
+    prefix = Fragment("prefix", 1, 3, ((2, 3), (1, 3), (1, 2)), ())
+    suffix = Fragment("suffix", 1, 2, ((1, 2),), ())
+    [product] = join(prefix, suffix)
+    assert product.edges == ((1, 2), (1, 3), (2, 3), (4, 5))
+    assert product == PlfGraph(5, product.edges)
 
 
 @settings(max_examples=60, deadline=None)
