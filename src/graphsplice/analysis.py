@@ -31,7 +31,7 @@ from .graphs import (
     is_regular,
     is_simple,
 )
-from .splicing import _compatible, fragment_key, make_rule, recombine, sigma_pair
+from .splicing import SplicingRule, directions, fragment_key, make_rule, sigma_pair
 
 SAMPLE_CAP = 20
 CONVERSE_SAMPLE_CAP = 50
@@ -368,30 +368,29 @@ def _regularity_report() -> TheoremReport:
                 continue
             for cg in g_cuts:
                 for ch in h_cuts:
-                    if _compatible(cg, ch) is not None:
-                        continue
                     gap = not (cg.rule.reflexive and ch.rule.reflexive)
-                    for half, (pre, suf) in enumerate(((cg, ch), (ch, cg))):
-                        key = (fragment_key(pre.prefix), fragment_key(suf.suffix))
+                    for direction, pre, suf in directions(cg, ch):
+                        key = (fragment_key(pre), fragment_key(suf))
                         if key not in verdicts:
-                            built = splicing.join(pre.prefix, suf.suffix)
-                            verdicts[key] = [is_regular(p) for p in built]
-                        regular = verdicts[key]
-                        instances += len(regular)
-                        for k, r in enumerate(regular):
-                            if r == rg:
+                            verdicts[key] = [is_regular(p)
+                                             for p in splicing.join(pre, suf)]
+                        instances += len(verdicts[key])
+                        # join's products come in the bijection order of
+                        # permutations, so the k-th verdict is bijection r
+                        for k, (r, ok) in enumerate(zip(
+                                permutations(range(cg.power)), verdicts[key])):
+                            if ok == rg:
                                 continue
                             total += 1
                             gap_rule_total += gap
                             if len(samples) < SAMPLE_CAP:
-                                prod = recombine(cg, ch)[half * len(regular) + k]
+                                prod = splicing.join(pre, suf)[k]
                                 samples.append((
-                                    f"{g} with {h}, rule {prod.rule}, direction "
-                                    f"{prod.direction}, bijection "
-                                    f"{prod.bijection}",
+                                    f"{g} with {h}, rule "
+                                    f"{SplicingRule(cg.rule, ch.rule)}, "
+                                    f"direction {direction}, bijection {r}",
                                     f"{rg}-regular product",
-                                    f"degrees "
-                                    f"{degree_profile(prod.graph).total}",
+                                    f"degrees {degree_profile(prod).total}",
                                 ))
     return _report("regularity-preservation", instances, total, samples,
                    {"gap_rule_violations": gap_rule_total,

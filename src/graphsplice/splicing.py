@@ -7,9 +7,9 @@ Suffix(G).  With m hanging edges per fragment there are m! bijections per
 direction, hence 2(m!) products, every one of which is emitted with its
 provenance.  join is the one weld: it builds the m! products of one
 (prefix, suffix) pair.  recombine runs it for both directions of two
-cuts (sigma_pair feeds it fresh cuts), and the closure, the law sweeps
-and the regularity report run it once per distinct fragment pair,
-keyed by fragment_key.
+cuts, as directions lists them (sigma_pair feeds it fresh cuts); the
+closure, the law sweeps and the regularity report run it once per
+distinct fragment pair, keyed by fragment_key.
 """
 
 from __future__ import annotations
@@ -93,6 +93,8 @@ def join(prefix: Fragment, suffix: Fragment) -> list[PlfGraph]:
     order = suffix.end + offset
     intact = [*prefix.intact,
               *((u + offset, v + offset) for u, v in suffix.intact)]
+    left = [h.anchor for h in prefix.hanging]
+    right = [h.anchor + offset for h in suffix.hanging]
     # The products skip PlfGraph's validation, which is sound because
     # every edge already has 1 <= u < v <= order: intact comes from
     # validated graphs (suffix edges shift by the same offset as the
@@ -101,10 +103,6 @@ def join(prefix: Fragment, suffix: Fragment) -> list[PlfGraph]:
     # the one normalization left (hand-made fragments may be unsorted).
     # permutations of right, like those of range(m), come in index order.
     build = PlfGraph._from_sorted
-    if not m:
-        return [build(order, tuple(sorted(intact)))]
-    left = [h.anchor for h in prefix.hanging]
-    right = [h.anchor + offset for h in suffix.hanging]
     return [build(order, tuple(sorted([*intact, *zip(left, ends)])))
             for ends in permutations(right)]
 
@@ -131,15 +129,19 @@ def recombine(cg: CutResult, ch: CutResult) -> list[SpliceProduct]:
     vertices).  Cuts that cannot recombine yield no product at all; a
     power above SPLICE_POWER_CAP raises CapExceededError.
     """
-    if _compatible(cg, ch) is not None:
-        return []
     rule = SplicingRule(cg.rule, ch.rule)
-    products = []
-    for direction, pre, suf in ((1, cg, ch), (2, ch, cg)):
-        built = join(pre.prefix, suf.suffix)
-        products.extend(SpliceProduct(g, direction, r, rule) for r, g
-                        in zip(permutations(range(cg.power)), built))
-    return products
+    return [SpliceProduct(g, direction, r, rule)
+            for direction, pre, suf in directions(cg, ch)
+            for g, r in zip(join(pre, suf), permutations(range(cg.power)))]
+
+
+def directions(cg: CutResult, ch: CutResult) -> tuple:
+    """(direction, prefix, suffix) for each way two cuts recombine, in
+    recombine's order: none when they cannot, else direction 1 with
+    Prefix(G) and Suffix(H), then direction 2 with Prefix(H) and Suffix(G)."""
+    if _compatible(cg, ch) is not None:
+        return ()
+    return ((1, cg.prefix, ch.suffix), (2, ch.prefix, cg.suffix))
 
 
 def sigma_pair(g: PlfGraph, h: PlfGraph, s: SplicingRule) -> list[SpliceProduct]:

@@ -10,18 +10,22 @@ from graphsplice import (
     check_iso_splice,
     check_power_formula,
     check_splice_theorems,
+    complete,
     cut,
     cycle,
     cycle_certificate,
     double_edge,
     has_cycle,
     path,
+    recombine,
+    valid_rules,
     verify_all,
 )
 from graphsplice import analysis, splicing
 from graphsplice.analysis import graphs_up_to
 from graphsplice.graphs import DegreeProfile
 from conftest import plf_graphs
+import oracles
 from oracles import (
     pairwise_iso_sweep,
     pairwise_law_sweep,
@@ -145,6 +149,27 @@ def test_regularity_report_matches_the_recombine_oracle():
     # instance counts, totals, the first samples and their order
     assert analysis._regularity_report().to_dict() == \
         recombine_regularity_report().to_dict()
+
+
+def test_regularity_samples_of_positive_power_match_the_oracle(monkeypatch):
+    # Every real sample is a power-0 product with bijection (); counting
+    # every product of power at least 1 as irregular puts other
+    # bijections and both directions among the samples.
+    corpus = [cycle(3), cycle(4), cycle(5), cycle(6), complete(4), complete(5)]
+    cuts = [cut(g, c) for g in corpus for c in valid_rules(g)]
+    keep = set(corpus) | {p.graph for cg in cuts if cg.power == 0
+                          for ch in cuts for p in recombine(cg, ch)}
+    real = analysis.is_regular
+
+    def power_zero_only(g):
+        return real(g) if g in keep else None
+
+    monkeypatch.setattr(analysis, "is_regular", power_zero_only)
+    monkeypatch.setattr(oracles, "is_regular", power_zero_only)
+    report = analysis._regularity_report().to_dict()
+    bijections = {s[0].rsplit("bijection ", 1)[1] for s in report["violations"]}
+    assert {"(0, 1)", "(1, 0)"} <= bijections
+    assert report == recombine_regularity_report().to_dict()
 
 
 def test_fixed_witness_reports():
