@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import json
 import resource
@@ -7,7 +8,7 @@ import sys
 import pytest
 
 import graphsplice.graphs as graphs_module
-from graphsplice import PlfGraph, cycle, path, to_plf
+from graphsplice import PlfGraph, complete, cycle, path, to_plf
 from graphsplice import analysis, cli, splicing
 from graphsplice.cli import main
 from graphsplice.formats import parse_graph, write_graph
@@ -100,6 +101,36 @@ def test_cut_reflexive_payload(capsys, tmp_path):
     assert payload["power"] == 0
     assert payload["power_formula_left"] is None
     assert payload["prefix"]["half_vertex"] == 2
+
+
+# sha256 of `graphsplice cut` stdout.  The payload spells out each
+# hanging edge's origin, instance, anchor and side, so these pin every
+# field of every hanging edge, parallel copies included.
+CUT_SHA256 = {
+    "k5-2,3": "a67c840cc7fee9284041de9d5c3ee503e8951d005fdcc01d1806484fb0005511",
+    "doubled-2,2": "b0522b5132965fc0efc0f7907fd60f636e30b3992ed5a3f27103dd9d82e11c11",
+    "c4-1,1": "8f39d7098ed020648dff9edea384d56bd20be45c56387f6a7787ad8d38a9ec21",
+}
+CUT_INPUTS = {
+    "k5-2,3": complete(5),
+    # the spanning edge (1,3) twice: both copies cross the split vertex 2
+    "doubled-2,2": PlfGraph(3, ((1, 3), (1, 3))),
+    "c4-1,1": cycle(4),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CUT_SHA256))
+def test_cut_output_bytes_are_pinned(capsys, tmp_path, case):
+    target = tmp_path / "g.plfg"
+    target.write_text(write_graph(CUT_INPUTS[case]))
+    code, out = run_cli(capsys, "cut", "--rule", case.split("-")[1], str(target))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CUT_SHA256[case]
+    if case == "doubled-2,2":
+        payload = json.loads(out)
+        for side in ("prefix", "suffix"):
+            assert [h["instance"] for h in payload[side]["hanging"]] == [0, 1]
+            assert [h["origin"] for h in payload[side]["hanging"]] == [[1, 3], [1, 3]]
 
 
 def test_cut_bad_rule_exit_codes(capsys, k5_file):
