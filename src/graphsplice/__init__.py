@@ -23,7 +23,6 @@ from .cutting import (
     CutResult,
     CuttingRule,
     Fragment,
-    HangingEdge,
     cut,
     power_by_formula,
     valid_rules,
@@ -66,7 +65,6 @@ from .language import (
     SplicingSystem,
     contains,
     language,
-    sigma_step,
 )
 from .splicing import (
     Recombination,
@@ -93,7 +91,6 @@ __all__ = [
     "DegreeProfile",
     "Fragment",
     "GraphSpliceError",
-    "HangingEdge",
     "InvalidGraphError",
     "InvalidOrderingError",
     "InvalidRuleError",
@@ -139,7 +136,6 @@ __all__ = [
     "power_by_formula",
     "recombine",
     "sigma_pair",
-    "sigma_step",
     "to_plf",
     "valid_rules",
     "verify_all",

@@ -31,7 +31,7 @@ from .graphs import (
     is_regular,
     is_simple,
 )
-from .splicing import SplicingRule, directions, fragment_key, make_rule, sigma_pair
+from .splicing import SplicingRule, directions, make_rule, sigma_pair
 
 SAMPLE_CAP = 20
 CONVERSE_SAMPLE_CAP = 50
@@ -150,10 +150,10 @@ def _cut_groups(graphs, max_power: int | None = None):
     """Cut every graph by every rule once and group the fragments.
 
     Returns {(reflexive, power): (prefix groups, suffix groups)}.  A
-    fragment is keyed by what join reads (fragment_key) and by the source
-    degrees the degree law expects; a half-vertex counts ld(i) on the
-    prefix side and rd(i) on the suffix side, because the merged vertex
-    gets ld(i) + rd(j).
+    group is keyed by the fragment, which is all join reads, and by the
+    source degrees the degree law expects; a half-vertex counts ld(i) on
+    the prefix side and rd(i) on the suffix side, because the merged
+    vertex gets ld(i) + rd(j).
     """
     out: dict = {}
     for g in graphs:
@@ -170,7 +170,7 @@ def _cut_groups(graphs, max_power: int | None = None):
             sides = out.setdefault((rule.reflexive, c.power), ({}, {}))
             fragments = ((c.prefix, pre_deg), (c.suffix, suf_deg))
             for groups, (frag, deg) in zip(sides, fragments):
-                key = (fragment_key(frag), deg)
+                key = (frag, deg)
                 group = groups.get(key)
                 if group is None:
                     group = groups[key] = _CutGroup(c, deg)
@@ -356,7 +356,7 @@ def _regularity_report() -> TheoremReport:
     corpus = [cycle(3), cycle(4), cycle(5), cycle(6), complete(4), complete(5)]
     tables = [(g, is_regular(g), [cut(g, c) for c in valid_rules(g)])
               for g in corpus]
-    # (prefix key, suffix key) -> is_regular per product, shared by (g, h) and (h, g)
+    # (prefix, suffix) -> is_regular per product, shared by (g, h) and (h, g)
     verdicts: dict = {}
     instances = 0
     total = 0
@@ -370,7 +370,7 @@ def _regularity_report() -> TheoremReport:
                 for ch in h_cuts:
                     gap = not (cg.rule.reflexive and ch.rule.reflexive)
                     for direction, pre, suf in directions(cg, ch):
-                        key = (fragment_key(pre), fragment_key(suf))
+                        key = (pre, suf)
                         if key not in verdicts:
                             verdicts[key] = [is_regular(p)
                                              for p in splicing.join(pre, suf)]

@@ -75,7 +75,10 @@ def _edge_list(edges) -> list:
     return [[u, v] for u, v in edges]
 
 
-def _fragment_dict(frag) -> dict:
+def _fragment_dict(frag, ecut) -> dict:
+    """A fragment as JSON.  Hanging edge t is the retained half of the
+    severed edge ecut[t]; its instance tells parallel copies apart."""
+    side = "left" if frag.kind == "prefix" else "right"
     return {
         "kind": frag.kind,
         "start": frag.start,
@@ -84,12 +87,12 @@ def _fragment_dict(frag) -> dict:
         "intact": _edge_list(frag.intact),
         "hanging": [
             {
-                "origin": list(h.origin),
-                "instance": h.instance,
-                "anchor": h.anchor,
-                "side": h.side,
+                "origin": list(e),
+                "instance": ecut[:t].count(e),
+                "anchor": anchor,
+                "side": side,
             }
-            for h in frag.hanging
+            for t, (e, anchor) in enumerate(zip(ecut, frag.hanging))
         ],
     }
 
@@ -129,8 +132,8 @@ def _cmd_cut(args) -> int:
         ),
         "ecut": _edge_list(result.ecut),
         "vcut": result.vcut,
-        "prefix": _fragment_dict(result.prefix),
-        "suffix": _fragment_dict(result.suffix),
+        "prefix": _fragment_dict(result.prefix, result.ecut),
+        "suffix": _fragment_dict(result.suffix, result.ecut),
     }
     _emit(payload)
     return 0

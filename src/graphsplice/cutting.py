@@ -4,14 +4,15 @@ A rule [i,j] with j = i+1 severs every edge crossing the gap between
 positions i and i+1.  A reflexive rule [i,i] splits vertex i into two
 half-vertices and severs every edge spanning over it; edges incident to
 i are never severed, they travel with whichever half keeps their other
-endpoint's side.  Cutting yields a prefix fragment and a suffix fragment
-whose hanging edges remember the severed instances.
+endpoint's side.  Cutting yields a prefix fragment and a suffix fragment,
+each holding the anchors of the severed edges it keeps a half of.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InvalidRuleError
 from .graphs import Edge, PlfGraph, degree_profile
@@ -73,39 +74,23 @@ def valid_rules(g: PlfGraph, include_reflexive: bool = True):
     return rules
 
 
-@dataclass(frozen=True)
-class HangingEdge:
-    """One retained half of a severed edge.
-
-    origin is the severed edge in source labels, instance tells parallel
-    copies apart, anchor is the endpoint that stayed.  side "left" is
-    the prefix half (u,v]; side "right" is the suffix half [u,v).
-    """
-
-    origin: Edge
-    instance: int
-    anchor: int
-    side: str
-
-    def __str__(self) -> str:
-        u, v = self.origin
-        return f"({u},{v}]" if self.side == "left" else f"[{u},{v})"
-
-
-@dataclass(frozen=True)
-class Fragment:
+class Fragment(NamedTuple):
     """One side of a cut graph, still in the source graph's labels.
 
     Retains positions start..end (for a reflexive cut both fragments
-    retain the split position, as half_vertex).  No hanging edge is ever
-    anchored at half_vertex.
+    retain the split position, as half_vertex).  hanging holds the
+    anchor of each severed edge, the endpoint that stayed, in the order
+    of CutResult.ecut: the prefix keeps u of (u, v), the suffix keeps v.
+    No hanging edge is ever anchored at half_vertex.  These fields are
+    all join reads, so a fragment is its own join key: two prefixes (or
+    two suffixes) that compare equal join every partner alike.
     """
 
     kind: str  # "prefix" or "suffix"
     start: int
     end: int
     intact: tuple[Edge, ...]
-    hanging: tuple[HangingEdge, ...]
+    hanging: tuple[int, ...]
     half_vertex: int | None = None
 
     @property
@@ -115,13 +100,12 @@ class Fragment:
     def __str__(self) -> str:
         verts = ",".join(str(v) for v in self.retained)
         if self.half_vertex is not None:
-            verts = (
-                f"{verts},{self.half_vertex}]" if self.kind == "prefix"
-                else f"[{verts}"
-            )
-        parts = [f"({u},{v})" for u, v in self.intact]
-        parts.extend(str(h) for h in self.hanging)
-        return f"{self.kind}{{{verts}}} edges {{{', '.join(parts)}}}"
+            # the bracket marks the half-vertex, the prefix's last
+            # position and the suffix's first
+            verts = f"{verts}]" if self.kind == "prefix" else f"[{verts}"
+        edges = ", ".join(f"({u},{v})" for u, v in self.intact)
+        anchors = ",".join(str(a) for a in self.hanging)
+        return f"{self.kind}{{{verts}}} edges {{{edges}}} hanging at {{{anchors}}}"
 
 
 @dataclass(frozen=True)
@@ -143,8 +127,9 @@ class CutResult:
 def cut(g: PlfGraph, rule) -> CutResult:
     """Apply one cutting rule, producing both fragments.
 
-    Hanging lists come out sorted by (origin u, origin v, instance),
-    which downstream joining relies on for reproducible bijections.
+    ecut lists the severed edges in edge order, parallel copies side by
+    side, and both hanging tuples follow it, which downstream joining
+    relies on for reproducible bijections.
     """
     rule = as_rule(rule)
     rule.check_valid_for(g)
@@ -153,29 +138,23 @@ def cut(g: PlfGraph, rule) -> CutResult:
     pre_intact: list[Edge] = []
     suf_intact: list[Edge] = []
     severed: list[Edge] = []
-    pre_hang: list[HangingEdge] = []
-    suf_hang: list[HangingEdge] = []
-    instance: dict[Edge, int] = {}
     for u, v in g.edges:
         if reflexive:
             crossing = u < i < v
         else:
             crossing = u <= i < v
         if crossing:
-            k = instance.get((u, v), 0)
-            instance[(u, v)] = k + 1
             severed.append((u, v))
-            pre_hang.append(HangingEdge((u, v), k, u, "left"))
-            suf_hang.append(HangingEdge((u, v), k, v, "right"))
         elif v <= i:
             pre_intact.append((u, v))
         else:
             suf_intact.append((u, v))
     half = i if reflexive else None
-    prefix = Fragment("prefix", 1, i, tuple(pre_intact), tuple(pre_hang), half)
+    prefix = Fragment("prefix", 1, i, tuple(pre_intact),
+                      tuple(u for u, _ in severed), half)
     suffix = Fragment(
         "suffix", i if reflexive else i + 1, g.order,
-        tuple(suf_intact), tuple(suf_hang), half,
+        tuple(suf_intact), tuple(v for _, v in severed), half,
     )
     return CutResult(g, rule, prefix, suffix, tuple(severed), half)
 

@@ -10,19 +10,20 @@ classes, keyed by canonical form.
 The closure is evaluated semi-naively over a fragment index.  Each
 in-cap class becomes a row of the index in the iteration after it
 appears: it is cut once per distinct cutting rule, and each cut is filed
-under its cutting rule, its shape (power, split or not) and the fragment
-keys of its prefix and suffix.  A product depends only on its
-(prefix key, suffix key) pair, so an iteration joins only the key pairs
-of one shape in which a new row filed at least one key first: a hash
-join of the new keys against all keys (Bancilhon & Ramakrishnan, SIGMOD
-1986).  Each key pair is thus joined once per run.
+under its cutting rule, its shape (power, split or not) and its prefix
+and suffix fragments, each its own join key.  A product depends only on
+its (prefix, suffix) pair, so an iteration joins only the fragment pairs
+of one shape in which a new row filed at least one fragment first: a
+hash join of the new fragments against all fragments (Bancilhon &
+Ramakrishnan, SIGMOD 1986).  Each fragment pair is thus joined once per
+run.
 
 The joins follow the first-visit order of a scan of the cells
 (first row, second row, rule, direction) of the row pairs that involve
-a new row.  That scan first meets a key pair in the cell of the rows
-that filed its two keys first, so the first product found for each
-class is the scan's.  raw_products still counts the logical products
-over all ordered pairs of each iteration.
+a new row.  That scan first meets a fragment pair in the cell of the
+rows that filed its two fragments first, so the first product found for
+each class is the scan's.  raw_products still counts the logical
+products over all ordered pairs of each iteration.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from . import splicing
 from .cutting import Fragment, cut
 from .errors import SystemDefinitionError
 from .graphs import PlfGraph, canonical_form, is_simple
-from .splicing import SplicingRule, fragment_key
+from .splicing import SplicingRule
 
 DEFAULT_MAX_ITERATIONS = 4
 DEFAULT_MAX_ORDER = 8
@@ -117,41 +118,27 @@ class LanguageResult:
         return len(self.classes)
 
 
-def sigma_step(graphs, system: SplicingSystem) -> dict[bytes, PlfGraph]:
-    """One application of the splicing scheme to a set of graphs.
-
-    Takes every ORDERED pair from graphs and every rule; pairs a rule
-    does not fit (positions out of range) or cannot recombine contribute
-    nothing.  Returns the product classes only, keyed by canonical form.
-    """
-    splicer = _Splicer(system)
-    for g in graphs:
-        splicer.add(g)
-    return splicer.step(0)[0]
-
-
 class _Shape:
     """The cuts of one shape (power, split or not) in one cutting-rule
     column: rows lists the rows cut to this shape, in ascending order,
-    and prefixes and suffixes map each fragment key to the first row
-    whose cut has it and that row's fragment (fragments with equal keys
-    join alike).  Keys are filed in row order."""
+    and prefixes and suffixes map each fragment to the first row whose
+    cut has it.  Fragments are filed in row order."""
 
     __slots__ = ("rows", "prefixes", "suffixes")
 
     def __init__(self):
         self.rows: list[int] = []
-        self.prefixes: dict[tuple, tuple[int, Fragment]] = {}
-        self.suffixes: dict[tuple, tuple[int, Fragment]] = {}
+        self.prefixes: dict[Fragment, int] = {}
+        self.suffixes: dict[Fragment, int] = {}
 
 
 def _filed_since(index: dict, old: int) -> list:
-    """The (key, (first row, fragment)) entries of a key index whose key
-    was first filed at row old or later: its last entries, found from
-    the end."""
+    """The (fragment, first row) entries of a fragment index whose
+    fragment was first filed at row old or later: its last entries,
+    found from the end."""
     fresh = []
     for item in reversed(index.items()):
-        if item[1][0] < old:
+        if item[1] < old:
             break
         fresh.append(item)
     return fresh
@@ -163,10 +150,10 @@ class _Splicer:
     Each added graph becomes the next row and is cut once per distinct
     cutting rule that fits its order; columns are indexed by
     cutting-rule number.  A column files each cut under its shape, and
-    the shape files the prefix and the suffix under their fragment keys.
-    A step pairs prefix keys with suffix keys of one shape, not rows with
-    rows: the split benchmark system ends with 1-18 prefix keys and at
-    most 70 suffix keys per column.
+    the shape files its prefix and its suffix.  A step pairs prefixes
+    with suffixes of one shape, not rows with rows: the split benchmark
+    system ends with 1-18 distinct prefixes and at most 70 distinct
+    suffixes per column.
     """
 
     def __init__(self, system: SplicingSystem):
@@ -190,28 +177,28 @@ class _Splicer:
             if shape is None:
                 shape = column[power_split] = _Shape()
             shape.rows.append(row)
-            shape.prefixes.setdefault(fragment_key(cg.prefix), (row, cg.prefix))
-            shape.suffixes.setdefault(fragment_key(cg.suffix), (row, cg.suffix))
+            shape.prefixes.setdefault(cg.prefix, row)
+            shape.suffixes.setdefault(cg.suffix, row)
 
     def step(self, old: int) -> tuple[dict[bytes, PlfGraph], int, int]:
         """Splice the ordered pairs of rows that are not both below old,
         the number of rows at the previous step (0 at the first).
 
-        Joins the (prefix key, suffix key) pairs of each rule, direction
-        and shape in which a key was first filed at row old or later;
+        Joins the (prefix, suffix) pairs of each rule, direction and shape
+        in which a fragment was first filed at row old or later;
         earlier steps joined every other pair.  Returns {key: first
         product found} over those joins, the number of logical products
         of the row pairs (2(m!) per pair and rule that recombine) and the
         number of products built.
 
         A scan of the cells (first row, second row, rule, direction) of
-        these row pairs would first meet a key pair in the cell of its
-        two keys' first rows, because one of them is at least old.  The
-        pairs are joined in the order of those cells, so the first
-        product found for each class is the scan's.
+        these row pairs would first meet a fragment pair in the cell of
+        its two fragments' first rows, because one of them is at least
+        old.  The pairs are joined in the order of those cells, so the
+        first product found for each class is the scan's.
         """
         raw = 0
-        first_cell: dict[tuple, tuple] = {}  # key pair -> (cell, prefix, suffix)
+        first_cell: dict[tuple, tuple] = {}  # (prefix, suffix) -> cell
         for r, (a, b) in enumerate(self.rules):
             second_column = self.columns[b]
             for power_split, first in self.columns[a].items():
@@ -226,16 +213,16 @@ class _Splicer:
                 for d, prefixes, suffixes in ((1, first.prefixes, second.suffixes),
                                               (2, second.prefixes, first.suffixes)):
                     fresh = _filed_since(suffixes, old)
-                    for pkey, (prow, prefix) in prefixes.items():
-                        for skey, (srow, suffix) in (suffixes.items() if prow >= old
-                                                     else fresh):
+                    for prefix, prow in prefixes.items():
+                        for suffix, srow in (suffixes.items() if prow >= old
+                                             else fresh):
                             cell = (prow, srow, r, d) if d == 1 else (srow, prow, r, d)
-                            seen = first_cell.get((pkey, skey))
-                            if seen is None or cell < seen[0]:
-                                first_cell[pkey, skey] = (cell, prefix, suffix)
+                            seen = first_cell.get((prefix, suffix))
+                            if seen is None or cell < seen:
+                                first_cell[prefix, suffix] = cell
         found: dict[bytes, PlfGraph] = {}
         joins = 0
-        for _, prefix, suffix in sorted(first_cell.values(), key=lambda v: v[0]):
+        for (prefix, suffix), _ in sorted(first_cell.items(), key=lambda kv: kv[1]):
             products = splicing.join(prefix, suffix)
             joins += len(products)
             for prod in products:
@@ -255,12 +242,13 @@ def language(system: SplicingSystem, config: LanguageConfig | None = None) -> La
 
     Only pairs that involve a class new since the previous iteration can
     make a new class.  Each iteration therefore joins only the fragment
-    key pairs in which a new class filed at least one key first, so each
-    key pair is joined once per run.  The pairs are joined in the order
-    in which a scan of the (first class, second class, rule, direction)
-    cells would first meet them, the cell of the classes that filed the
-    two keys first: the classes and the first product found for each are
-    those of splicing every ordered pair every iteration in scan order.
+    pairs in which a new class filed at least one fragment first, so each
+    fragment pair is joined once per run.  The pairs are joined in the
+    order in which a scan of the (first class, second class, rule,
+    direction) cells would first meet them, the cell of the classes that
+    filed the two fragments first: the classes and the first product
+    found for each are those of splicing every ordered pair every
+    iteration in scan order.
     raw_products counts the logical products over all ordered pairs,
     those not visited included; joins counts the products actually
     built.

@@ -7,9 +7,10 @@ Suffix(G).  With m hanging edges per fragment there are m! bijections per
 direction, hence 2(m!) products, every one of which is emitted with its
 provenance.  join is the one weld: it builds the m! products of one
 (prefix, suffix) pair.  recombine runs it for both directions of two
-cuts, as directions lists them (sigma_pair feeds it fresh cuts); the
-closure, the law sweeps and the regularity report run it once per
-distinct fragment pair, keyed by fragment_key.
+cuts, as directions lists them (sigma_pair feeds it fresh cuts).  join
+reads nothing of a fragment but its fields, so a fragment is its own
+join key: the closure, the law sweeps and the regularity report run it
+once per distinct (prefix, suffix) pair.
 """
 
 from __future__ import annotations
@@ -93,8 +94,8 @@ def join(prefix: Fragment, suffix: Fragment) -> list[PlfGraph]:
     order = suffix.end + offset
     intact = [*prefix.intact,
               *((u + offset, v + offset) for u, v in suffix.intact)]
-    left = [h.anchor for h in prefix.hanging]
-    right = [h.anchor + offset for h in suffix.hanging]
+    left = prefix.hanging
+    right = [a + offset for a in suffix.hanging]
     # The products skip PlfGraph's validation, which is sound because
     # every edge already has 1 <= u < v <= order: intact comes from
     # validated graphs (suffix edges shift by the same offset as the
@@ -107,26 +108,14 @@ def join(prefix: Fragment, suffix: Fragment) -> list[PlfGraph]:
             for ends in permutations(right)]
 
 
-def fragment_key(frag: Fragment) -> tuple:
-    """What join reads of a fragment: its retained span, intact edges,
-    hanging anchors in order and whether it keeps a half-vertex.
-
-    Two prefixes (or two suffixes) with equal keys join every partner
-    into the same graphs, under every bijection.  A prefix always starts
-    at 1, so its start adds nothing to the key.
-    """
-    return (frag.start, frag.end, frag.intact,
-            tuple(h.anchor for h in frag.hanging), frag.half_vertex is not None)
-
-
 def recombine(cg: CutResult, ch: CutResult) -> list[SpliceProduct]:
     """Both directions from the cuts of G by c1 and of H by c2.
 
     Direction 1 joins Prefix(G) to Suffix(H), direction 2 Prefix(H) to
     Suffix(G), each over the m! bijections in lexicographic order on the
-    sorted hanging lists; m = 0 yields one product per direction (a
-    disjoint union, or a one-point amalgamation when the cuts split
-    vertices).  Cuts that cannot recombine yield no product at all; a
+    hanging tuples, which follow ecut; m = 0 yields one product per
+    direction (a disjoint union, or a one-point amalgamation when the
+    cuts split vertices).  Cuts that cannot recombine yield no product at all; a
     power above SPLICE_POWER_CAP raises CapExceededError.
     """
     rule = SplicingRule(cg.rule, ch.rule)

@@ -88,15 +88,13 @@ def test_k5_gap_cut():
     assert res.suffix.intact == ((3, 4), (3, 5), (4, 5))
     assert list(res.suffix.retained) == [3, 4, 5]
 
-    assert [str(h) for h in res.prefix.hanging] == [
-        "(1,3]", "(1,4]", "(1,5]", "(2,3]", "(2,4]", "(2,5]",
-    ]
-    assert [h.anchor for h in res.prefix.hanging] == [1, 1, 1, 2, 2, 2]
-    # same severed edges seen from the right, sorted by origin
-    assert {str(h) for h in res.suffix.hanging} == {
-        "[2,3)", "[2,4)", "[2,5)", "[1,3)", "[1,4)", "[1,5)",
-    }
-    assert [h.anchor for h in res.suffix.hanging] == [3, 4, 5, 3, 4, 5]
+    # the anchors follow ecut: the prefix keeps u of (u, v), the suffix v
+    assert res.ecut == ((1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5))
+    assert res.prefix.hanging == (1, 1, 1, 2, 2, 2)
+    assert res.suffix.hanging == (3, 4, 5, 3, 4, 5)
+    assert str(res.prefix) == "prefix{1,2} edges {(1,2)} hanging at {1,1,1,2,2,2}"
+    assert str(res.suffix) == (
+        "suffix{3,4,5} edges {(3,4), (3,5), (4,5)} hanging at {3,4,5,3,4,5}")
 
 
 def test_k5_formula_agrees():
@@ -108,10 +106,8 @@ def test_k5_formula_agrees():
 def test_smallest_gap_cut():
     res = cut(path(2), (1, 2))
     assert res.ecut == ((1, 2),)
-    assert [str(h) for h in res.prefix.hanging] == ["(1,2]"]
-    assert res.prefix.hanging[0].anchor == 1
-    assert [str(h) for h in res.suffix.hanging] == ["[1,2)"]
-    assert res.suffix.hanging[0].anchor == 2
+    assert res.prefix.hanging == (1,)
+    assert res.suffix.hanging == (2,)
 
 
 def test_reflexive_cut_on_path():
@@ -124,6 +120,8 @@ def test_reflexive_cut_on_path():
     assert res.suffix.intact == ((2, 3),)
     assert res.suffix.half_vertex == 2
     assert list(res.suffix.retained) == [2, 3]
+    assert str(res.prefix) == "prefix{1,2]} edges {(1,2)} hanging at {}"
+    assert str(res.suffix) == "suffix{[2,3} edges {(2,3)} hanging at {}"
 
 
 def test_reflexive_cut_keeps_incident_edges():
@@ -141,9 +139,8 @@ def test_reflexive_cut_severs_spanning_edges():
     g = PlfGraph(3, ((1, 3), (1, 3)))
     res = cut(g, (2, 2))
     assert res.ecut == ((1, 3), (1, 3))
-    assert [h.instance for h in res.prefix.hanging] == [0, 1]
-    assert [h.anchor for h in res.prefix.hanging] == [1, 1]
-    assert [h.anchor for h in res.suffix.hanging] == [3, 3]
+    assert res.prefix.hanging == (1, 1)
+    assert res.suffix.hanging == (3, 3)
 
 
 def test_power_examples():
@@ -201,10 +198,10 @@ def test_hanging_anchors_are_retained_and_off_the_half_vertex(g):
     for rule in valid_rules(g):
         res = cut(g, rule)
         for frag in (res.prefix, res.suffix):
-            for h in frag.hanging:
-                assert h.anchor in frag.retained
+            for anchor in frag.hanging:
+                assert anchor in frag.retained
                 if frag.half_vertex is not None:
-                    assert h.anchor != frag.half_vertex
+                    assert anchor != frag.half_vertex
 
 
 @given(graph_with_gap_rule())
