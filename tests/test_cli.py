@@ -258,6 +258,34 @@ def test_splice_single_direction(capsys, tmp_path):
         assert [r["index"] for r in payload["products"]] == [1, 2]
 
 
+# sha256 of `graphsplice splice` stdout: every product's direction,
+# bijection, rule, order and edges, in output order
+SPLICE_SHA256 = {
+    "c3-c4-1,2:2,3-both":
+        "51c8ce2892a558b380b56e8f38c6044bf84583954e1a867de7d750b1e02ae06e",
+    # power 4, so 2(4!) = 48 products
+    "k4-k4-2,3:2,3-both":
+        "6b7b97b8a469f1a1bc7adb51b230ce269c2381aa41ed6b24e45abb03331d8400",
+    "c4-c4-2,2:3,3-second":
+        "1ab2c2fea452efc11c315f8ac7f2d5278d13c51dac2e0a38418e7cdb4da77c50",
+}
+SPLICE_INPUTS = {"c3": cycle(3), "c4": cycle(4), "k4": complete(4)}
+
+
+@pytest.mark.parametrize("case", sorted(SPLICE_SHA256))
+def test_splice_output_bytes_are_pinned(capsys, tmp_path, case):
+    first, second, rule, direction = case.split("-")
+    files = []
+    for name in (first, second):
+        target = tmp_path / f"{name}.plfg"
+        target.write_text(write_graph(SPLICE_INPUTS[name]))
+        files.append(str(target))
+    code, out = run_cli(capsys, "splice", "--rule", rule,
+                        "--direction", direction, *files)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SPLICE_SHA256[case]
+
+
 def test_splice_power_cap_exit(capsys, monkeypatch, tmp_path):
     # K4 cut at [1,2] or [3,4] severs three edges; join refuses them
     # before it enumerates a bijection or builds a product

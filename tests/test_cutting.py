@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given
 
@@ -7,6 +9,7 @@ from graphsplice import (
     complete,
     cut,
     cycle,
+    degree_profile,
     double_edge,
     enumerate_simple_graphs,
     path,
@@ -239,3 +242,42 @@ def test_intact_edges_stay_inside_their_fragment(g):
             assert u in res.prefix.retained and v in res.prefix.retained
         for u, v in res.suffix.intact:
             assert u in res.suffix.retained and v in res.suffix.retained
+
+
+def _fragment_degrees(frag):
+    """Each retained position's degree read off the fragment alone: both
+    ends of its intact edges and the anchors of its hanging ones."""
+    deg = dict.fromkeys(frag.retained, 0)
+    for u, v in frag.intact:
+        deg[u] += 1
+        deg[v] += 1
+    for a in frag.hanging:
+        deg[a] += 1
+    return [deg[p] for p in frag.retained]
+
+
+def test_a_fragment_fixes_its_source_degrees():
+    """A fragment determines the source degree of every position it
+    retains: ld(i) at a prefix half-vertex, rd(i) at a suffix one."""
+    rng = random.Random(1987)
+    graphs = [g for n in range(1, 6) for g in enumerate_simple_graphs(n)]
+    for _ in range(300):
+        n = rng.randint(2, 6)
+        pairs = [(u, v) for u in range(1, n) for v in range(u + 1, n + 1)]
+        graphs.append(PlfGraph(n, tuple(rng.choice(pairs)
+                                        for _ in range(rng.randint(0, 12)))))
+    cuts = 0
+    for g in graphs:
+        prof = degree_profile(g)
+        for rule in valid_rules(g):
+            res = cut(g, rule)
+            cuts += 1
+            for frag in (res.prefix, res.suffix):
+                want = list(prof.total[frag.start - 1:frag.end])
+                if rule.reflexive:
+                    if frag.kind == "prefix":
+                        want[-1] = prof.left[rule.i - 1]
+                    else:
+                        want[0] = prof.right[rule.i - 1]
+                assert _fragment_degrees(frag) == want, (g, rule, frag.kind)
+    assert cuts > 9711
