@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 from . import analysis, formats
@@ -77,23 +78,22 @@ def _edge_list(edges) -> list:
 
 def _fragment_dict(frag, ecut) -> dict:
     """A fragment as JSON.  Hanging edge t is the retained half of the
-    severed edge ecut[t]; its instance tells parallel copies apart."""
+    severed edge ecut[t]; its instance, the number of copies of that
+    edge before it in ecut, tells parallel copies apart."""
     side = "left" if frag.kind == "prefix" else "right"
+    seen = Counter()
+    hanging = []
+    for e, anchor in zip(ecut, frag.hanging):
+        hanging.append({"origin": list(e), "instance": seen[e],
+                        "anchor": anchor, "side": side})
+        seen[e] += 1
     return {
         "kind": frag.kind,
         "start": frag.start,
         "end": frag.end,
         "half_vertex": frag.half_vertex,
         "intact": _edge_list(frag.intact),
-        "hanging": [
-            {
-                "origin": list(e),
-                "instance": ecut[:t].count(e),
-                "anchor": anchor,
-                "side": side,
-            }
-            for t, (e, anchor) in enumerate(zip(ecut, frag.hanging))
-        ],
+        "hanging": hanging,
     }
 
 
