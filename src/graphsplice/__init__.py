@@ -67,12 +67,10 @@ from .language import (
     language,
 )
 from .splicing import (
-    Recombination,
     SpliceProduct,
     SplicingRule,
     join,
     make_rule,
-    recombine,
     sigma_pair,
 )
 
@@ -102,7 +100,6 @@ __all__ = [
     "Ordering",
     "ParseError",
     "PlfGraph",
-    "Recombination",
     "SpliceProduct",
     "SplicingRule",
     "SplicingSystem",
@@ -134,7 +131,6 @@ __all__ = [
     "make_rule",
     "path",
     "power_by_formula",
-    "recombine",
     "sigma_pair",
     "to_plf",
     "valid_rules",

@@ -123,6 +123,13 @@ class CutResult:
     def power(self) -> int:
         return len(self.ecut)
 
+    @property
+    def shape(self) -> tuple[int, bool]:
+        """(power, vcut is None).  Two cuts weld only when their shapes
+        are equal: they sever as many edges, and both split a vertex or
+        neither does."""
+        return len(self.ecut), self.vcut is None
+
 
 def cut(g: PlfGraph, rule) -> CutResult:
     """Apply one cutting rule, producing both fragments.

@@ -190,9 +190,9 @@ def complete_bipartite(a: int, b: int) -> PlfGraph:
     return PlfGraph(a + b, edges)
 
 
-def double_edge(n: int = 2, u: int = 1, v: int = 2) -> PlfGraph:
-    """Two parallel edges between u and v, the smallest non-simple graph."""
-    return PlfGraph(n, ((u, v), (u, v)))
+def double_edge() -> PlfGraph:
+    """Two parallel edges between 1 and 2, the smallest non-simple graph."""
+    return PlfGraph(2, ((1, 2), (1, 2)))
 
 
 def has_cycle(g: PlfGraph) -> bool:
@@ -590,15 +590,15 @@ def is_isomorphic(g: PlfGraph, h: PlfGraph) -> bool:
 ENUMERATION_CAP = 6
 
 
-def enumerate_simple_graphs(n: int, cap: int = ENUMERATION_CAP):
+def enumerate_simple_graphs(n: int):
     """All 2^C(n,2) labeled simple graphs of order exactly n, in mask order.
 
     Isomorphic duplicates are included on purpose: theorem sweeps
     quantify over PLF layouts, not isomorphism classes.
     """
-    if n > cap:
+    if n > ENUMERATION_CAP:
         raise CapExceededError(
-            f"exhaustive enumeration of order {n} exceeds cap {cap}"
+            f"exhaustive enumeration of order {n} exceeds cap {ENUMERATION_CAP}"
         )
     slots = list(combinations(range(1, n + 1), 2))
     for mask in range(1 << len(slots)):

@@ -10,7 +10,7 @@ classes, keyed by canonical form.
 The closure is evaluated semi-naively over a fragment index.  Each
 in-cap class becomes a row of the index in the iteration after it
 appears: it is cut once per distinct cutting rule, and each cut is filed
-under its cutting rule, its shape (power, split or not) and its prefix
+under its cutting rule, its shape (CutResult.shape) and its prefix
 and suffix fragments, each its own join key.  A product depends only on
 its (prefix, suffix) pair, so an iteration joins only the fragment pairs
 of one shape in which a new row filed at least one fragment first: a
@@ -23,14 +23,14 @@ The joins follow the first-visit order of a scan of the cells
 a new row.  That scan first meets a fragment pair in the cell of the
 rows that filed its two fragments first, so the first product found for
 each class is the scan's.  raw_products still counts the logical
-products over all ordered pairs of each iteration.
+products over all ordered pairs of each iteration: per rule and shape,
+2(m!) times the two columns' row counts.
 """
 
 from __future__ import annotations
 
 import operator
-from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import factorial
 
 from . import splicing
@@ -112,22 +112,21 @@ class LanguageResult:
     classes: dict[bytes, ClassInfo]
     trace: tuple[IterationTrace, ...]
     saturated: bool
-    config: LanguageConfig = field(default=LanguageConfig())
 
     def __len__(self) -> int:
         return len(self.classes)
 
 
 class _Shape:
-    """The cuts of one shape (power, split or not) in one cutting-rule
-    column: rows lists the rows cut to this shape, in ascending order,
-    and prefixes and suffixes map each fragment to the first row whose
-    cut has it.  Fragments are filed in row order."""
+    """The cuts of one shape (CutResult.shape) in one cutting-rule
+    column: rows counts the rows cut to this shape, and prefixes and
+    suffixes map each fragment to the first row whose cut has it.
+    Fragments are filed in row order."""
 
     __slots__ = ("rows", "prefixes", "suffixes")
 
     def __init__(self):
-        self.rows: list[int] = []
+        self.rows = 0
         self.prefixes: dict[Fragment, int] = {}
         self.suffixes: dict[Fragment, int] = {}
 
@@ -172,11 +171,10 @@ class _Splicer:
             if not c.fits(g):
                 continue
             cg = cut(g, c)
-            power_split = (cg.power, cg.vcut is None)
-            shape = column.get(power_split)
+            shape = column.get(cg.shape)
             if shape is None:
-                shape = column[power_split] = _Shape()
-            shape.rows.append(row)
+                shape = column[cg.shape] = _Shape()
+            shape.rows += 1
             shape.prefixes.setdefault(cg.prefix, row)
             shape.suffixes.setdefault(cg.suffix, row)
 
@@ -188,8 +186,8 @@ class _Splicer:
         in which a fragment was first filed at row old or later;
         earlier steps joined every other pair.  Returns {key: first
         product found} over those joins, the number of logical products
-        of the row pairs (2(m!) per pair and rule that recombine) and the
-        number of products built.
+        of all ordered pairs of rows (2(m!) per pair and rule whose cuts
+        weld) and the number of products built.
 
         A scan of the cells (first row, second row, rule, direction) of
         these row pairs would first meet a fragment pair in the cell of
@@ -201,13 +199,11 @@ class _Splicer:
         first_cell: dict[tuple, tuple] = {}  # (prefix, suffix) -> cell
         for r, (a, b) in enumerate(self.rules):
             second_column = self.columns[b]
-            for power_split, first in self.columns[a].items():
-                second = second_column.get(power_split)
+            for shape, first in self.columns[a].items():
+                second = second_column.get(shape)
                 if second is None:
                     continue
-                raw += 2 * factorial(power_split[0]) * (
-                    len(first.rows) * len(second.rows)
-                    - bisect_left(first.rows, old) * bisect_left(second.rows, old))
+                raw += 2 * factorial(shape[0]) * first.rows * second.rows
                 # direction 1 joins the first row's prefix to the second
                 # row's suffix, direction 2 the second's prefix to the first's
                 for d, prefixes, suffixes in ((1, first.prefixes, second.suffixes),
@@ -267,16 +263,13 @@ def language(system: SplicingSystem, config: LanguageConfig | None = None) -> La
 
     splicer = _Splicer(system)
     fresh = [info.representative for info in classes.values()]
-    raw = 0
     for it in range(1, config.max_iterations + 1):
         # classes only grow, so the old in-cap classes stay a prefix
         old = splicer.rows
         for g in fresh:
             if g.order <= config.max_order:
                 splicer.add(g)
-        found, visited, joins = splicer.step(old)
-        # the pairs not visited are exactly those of the previous iteration
-        raw += visited
+        found, raw, joins = splicer.step(old)
         fresh = []
         overcap = 0
         for key, g in found.items():
@@ -291,7 +284,7 @@ def language(system: SplicingSystem, config: LanguageConfig | None = None) -> La
             saturated = True
             break
 
-    return LanguageResult(classes, tuple(trace), saturated, config)
+    return LanguageResult(classes, tuple(trace), saturated)
 
 
 def contains(result: LanguageResult, g: PlfGraph) -> bool:

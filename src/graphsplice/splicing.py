@@ -1,16 +1,16 @@
-"""Splicing rules and the recombination of cut fragments.
+"""Splicing rules and the welding of cut fragments.
 
 A splicing rule (c1, c2) cuts the first graph by c1 and the second by c2,
 once each, then rejoins the four fragments crosswise: the first
 direction keeps Prefix(G) and Suffix(H), the second keeps Prefix(H) and
-Suffix(G).  With m hanging edges per fragment there are m! bijections per
-direction, hence 2(m!) products, every one of which is emitted with its
-provenance.  join is the one weld: it builds the m! products of one
-(prefix, suffix) pair.  recombine runs it for both directions of two
-cuts, as directions lists them (sigma_pair feeds it fresh cuts).  join
-reads nothing of a fragment but its fields, so a fragment is its own
-join key: the closure, the law sweeps and the regularity report run it
-once per distinct (prefix, suffix) pair.
+Suffix(G).  The cuts weld only when their shapes (CutResult.shape) are
+equal.  With m hanging edges per fragment there are m! bijections per
+direction, hence 2(m!) products, every one of which sigma_pair emits
+with its provenance.  join is the one weld: it builds the m! products
+of one (prefix, suffix) pair, and directions lists the pairs of two
+cuts.  join reads nothing of a fragment but its fields, so a fragment
+is its own join key: the closure, the law sweeps and the regularity
+report run it once per distinct (prefix, suffix) pair.
 """
 
 from __future__ import annotations
@@ -22,11 +22,8 @@ from .cutting import CutResult, CuttingRule, Fragment, as_rule, cut
 from .errors import CapExceededError, JoinError, NotApplicableError
 from .graphs import PlfGraph
 
-# A recombination maps prefix hanging-edge index t to suffix index r[t].
-Recombination = tuple[int, ...]
-
-# largest power recombine splices: 2(m!) products, so each step up
-# multiplies time and memory by about m; two power-8 stars give 80,640
+# largest power join welds: a splice makes 2(m!) products, so each step
+# up multiplies time and memory by about m; two power-8 stars give 80,640
 # products in 1.4 s and 85 MB (2-core machine, Python 3.11)
 SPLICE_POWER_CAP = 8
 
@@ -48,21 +45,12 @@ def make_rule(c1, c2) -> SplicingRule:
 
 @dataclass(frozen=True)
 class SpliceProduct:
-    """One recombination outcome, with enough provenance to rebuild it."""
+    """One splicing outcome, with enough provenance to rebuild it."""
 
     graph: PlfGraph
     direction: int  # 1: Prefix(g)+Suffix(h); 2: Prefix(h)+Suffix(g)
-    bijection: Recombination
+    bijection: tuple[int, ...]  # prefix hanging edge t welds to suffix r[t]
     rule: SplicingRule
-
-
-def _compatible(cg: CutResult, ch: CutResult) -> str | None:
-    """None when fragments recombine, else the reason they cannot."""
-    if cg.power != ch.power:
-        return f"severed-edge counts differ: {cg.power} vs {ch.power}"
-    if (cg.vcut is None) != (ch.vcut is None):
-        return "one cut splits a vertex, the other does not"
-    return None
 
 
 def join(prefix: Fragment, suffix: Fragment) -> list[PlfGraph]:
@@ -108,37 +96,34 @@ def join(prefix: Fragment, suffix: Fragment) -> list[PlfGraph]:
             for ends in permutations(right)]
 
 
-def recombine(cg: CutResult, ch: CutResult) -> list[SpliceProduct]:
-    """Both directions from the cuts of G by c1 and of H by c2.
-
-    Direction 1 joins Prefix(G) to Suffix(H), direction 2 Prefix(H) to
-    Suffix(G), each over the m! bijections in lexicographic order on the
-    hanging tuples, which follow ecut; m = 0 yields one product per
-    direction (a disjoint union, or a one-point amalgamation when the
-    cuts split vertices).  Cuts that cannot recombine yield no product at all; a
-    power above SPLICE_POWER_CAP raises CapExceededError.
-    """
-    rule = SplicingRule(cg.rule, ch.rule)
-    return [SpliceProduct(g, direction, r, rule)
-            for direction, pre, suf in directions(cg, ch)
-            for g, r in zip(join(pre, suf), permutations(range(cg.power)))]
-
-
 def directions(cg: CutResult, ch: CutResult) -> tuple:
-    """(direction, prefix, suffix) for each way two cuts recombine, in
-    recombine's order: none when they cannot, else direction 1 with
-    Prefix(G) and Suffix(H), then direction 2 with Prefix(H) and Suffix(G)."""
-    if _compatible(cg, ch) is not None:
+    """(direction, prefix, suffix) for each way two cuts weld: none when
+    their shapes differ, else direction 1 with Prefix(G) and Suffix(H),
+    then direction 2 with Prefix(H) and Suffix(G)."""
+    if cg.shape != ch.shape:
         return ()
     return ((1, cg.prefix, ch.suffix), (2, ch.prefix, cg.suffix))
 
 
 def sigma_pair(g: PlfGraph, h: PlfGraph, s: SplicingRule) -> list[SpliceProduct]:
-    """recombine on g cut by s.first and h cut by s.second: 2(m!) products
-    in direction-then-bijection order, or NotApplicableError."""
+    """Cut g by s.first and h by s.second and weld both directions.
+
+    Returns 2(m!) products in direction-then-bijection order, the
+    bijections in lexicographic order on the hanging tuples, which follow
+    ecut; m = 0 yields one product per direction (a disjoint union, or a
+    one-point amalgamation when the cuts split vertices).  Cuts of
+    different shapes raise NotApplicableError; a power above
+    SPLICE_POWER_CAP raises CapExceededError before any bijection is
+    listed.
+    """
     cg = cut(g, s.first)
     ch = cut(h, s.second)
-    products = recombine(cg, ch)
-    if not products:
-        raise NotApplicableError(f"rule {s} on this pair: {_compatible(cg, ch)}")
-    return products
+    if cg.power != ch.power:
+        raise NotApplicableError(f"rule {s} on this pair: severed-edge counts "
+                                 f"differ: {cg.power} vs {ch.power}")
+    if cg.shape != ch.shape:
+        raise NotApplicableError(f"rule {s} on this pair: one cut splits a "
+                                 "vertex, the other does not")
+    return [SpliceProduct(p, direction, r, s)
+            for direction, pre, suf in directions(cg, ch)
+            for p, r in zip(join(pre, suf), permutations(range(cg.power)))]

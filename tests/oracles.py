@@ -2,10 +2,9 @@
 
 Everything here is deliberately naive: permutation search for
 isomorphism, an unpruned degree-respecting canonical search, component
-counting for cycles, color enumeration for bipartiteness, one sigma_pair
-call per ordered pair and rule pair for the law sweeps, one recombine
-call per pair of cuts for the regularity report and one sigma_pair call
-per ordered pair and rule for the closure.  Slow but obviously correct
+counting for cycles, color enumeration for bipartiteness, and one
+sigma_pair call per ordered pair and rule pair for the law sweeps, for
+the regularity report and for the closure.  Slow but obviously correct
 on small graphs.  The few helpers the tests need but the engine does not
 (relabelings, the reversed rule, the product-order bound) live here too.
 """
@@ -23,7 +22,6 @@ from graphsplice import (
     cycle,
     degree_profile,
     is_regular,
-    recombine,
     sigma_pair,
     to_plf,
     valid_rules,
@@ -240,22 +238,26 @@ def pairwise_iso_sweep(graphs):
     return instances, exceptions
 
 
-def recombine_regularity_report():
-    """The regularity-preservation report with one recombine call per
-    (g, h, cut, cut): both directions joined and every product checked
-    afresh, with no fragment pair shared between (g, h) and (h, g)."""
+def sigma_pair_regularity_report():
+    """The regularity-preservation report with one sigma_pair call per
+    (g, h, rule pair), skipping the pairs it refuses: both directions
+    joined from fresh cuts and every product checked afresh, with no
+    fragment pair shared between (g, h) and (h, g)."""
     corpus = [cycle(3), cycle(4), cycle(5), cycle(6), complete(4), complete(5)]
-    tables = [(g, is_regular(g), [cut(g, c) for c in valid_rules(g)])
-              for g in corpus]
     instances = total = gap_rule_total = 0
     samples = []
-    for g, rg, g_cuts in tables:
-        for h, rh, h_cuts in tables:
-            if rh != rg:
+    for g in corpus:
+        rg = is_regular(g)
+        for h in corpus:
+            if is_regular(h) != rg:
                 continue
-            for cg in g_cuts:
-                for ch in h_cuts:
-                    for prod in recombine(cg, ch):
+            for c1 in valid_rules(g):
+                for c2 in valid_rules(h):
+                    try:
+                        products = sigma_pair(g, h, SplicingRule(c1, c2))
+                    except NotApplicableError:
+                        continue
+                    for prod in products:
                         instances += 1
                         if is_regular(prod.graph) == rg:
                             continue

@@ -16,20 +16,21 @@ from graphsplice import (
     cycle_certificate,
     double_edge,
     has_cycle,
+    join,
     path,
-    recombine,
     valid_rules,
     verify_all,
 )
 from graphsplice import analysis, splicing
 from graphsplice.analysis import graphs_up_to
 from graphsplice.graphs import DegreeProfile
+from graphsplice.splicing import directions
 from conftest import plf_graphs
 import oracles
 from oracles import (
     pairwise_iso_sweep,
     pairwise_law_sweep,
-    recombine_regularity_report,
+    sigma_pair_regularity_report,
 )
 
 ORDER4_TREE = PlfGraph(4, ((1, 3), (2, 4), (1, 4)))
@@ -145,10 +146,10 @@ def test_regularity_exceptions_are_all_reflexive():
     assert reg.extras["gap_rule_violations"] == 0
 
 
-def test_regularity_report_matches_the_recombine_oracle():
+def test_regularity_report_matches_the_sigma_pair_oracle():
     # instance counts, totals, the first samples and their order
     assert analysis._regularity_report().to_dict() == \
-        recombine_regularity_report().to_dict()
+        sigma_pair_regularity_report().to_dict()
 
 
 def test_regularity_samples_of_positive_power_match_the_oracle(monkeypatch):
@@ -157,8 +158,9 @@ def test_regularity_samples_of_positive_power_match_the_oracle(monkeypatch):
     # bijections and both directions among the samples.
     corpus = [cycle(3), cycle(4), cycle(5), cycle(6), complete(4), complete(5)]
     cuts = [cut(g, c) for g in corpus for c in valid_rules(g)]
-    keep = set(corpus) | {p.graph for cg in cuts if cg.power == 0
-                          for ch in cuts for p in recombine(cg, ch)}
+    keep = set(corpus) | {p for cg in cuts if cg.power == 0 for ch in cuts
+                          for _d, pre, suf in directions(cg, ch)
+                          for p in join(pre, suf)}
     real = analysis.is_regular
 
     def power_zero_only(g):
@@ -169,7 +171,7 @@ def test_regularity_samples_of_positive_power_match_the_oracle(monkeypatch):
     report = analysis._regularity_report().to_dict()
     bijections = {s[0].rsplit("bijection ", 1)[1] for s in report["violations"]}
     assert {"(0, 1)", "(1, 0)"} <= bijections
-    assert report == recombine_regularity_report().to_dict()
+    assert report == sigma_pair_regularity_report().to_dict()
 
 
 def test_fixed_witness_reports():

@@ -391,10 +391,12 @@ def test_enumerate_simple_graphs_is_deterministic_and_distinct():
     assert all(g.order == 4 and is_simple(g) for g in first)
 
 
-def test_enumerate_simple_graphs_cap():
+def test_enumerate_simple_graphs_cap(monkeypatch):
     with pytest.raises(CapExceededError):
         next(enumerate_simple_graphs(7))
-    stream = enumerate_simple_graphs(7, cap=7)
+    # the cap is read when the enumeration starts
+    monkeypatch.setattr(graphs_module, "ENUMERATION_CAP", 7)
+    stream = enumerate_simple_graphs(7)
     assert next(stream).order == 7
 
 

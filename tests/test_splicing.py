@@ -1,3 +1,4 @@
+from itertools import permutations
 from math import factorial
 
 import pytest
@@ -16,13 +17,12 @@ from graphsplice import (
     join,
     make_rule,
     path,
-    recombine,
     sigma_pair,
 )
 from graphsplice.cutting import Fragment, valid_rules
 from graphsplice.graphs import canonical_form
 from graphsplice import splicing
-from graphsplice.splicing import SplicingRule
+from graphsplice.splicing import SplicingRule, directions
 from conftest import plf_graphs
 from oracles import max_product_order, swapped
 
@@ -36,14 +36,20 @@ def directed(g, h, s, direction):
 
 
 def recombinations(g, h):
-    """(rule, products) for every rule pair of g and h that recombines."""
+    """(rule, products) for every rule pair of g and h whose cuts sever
+    as many edges and are both reflexive or both not; sigma_pair must
+    refuse every other rule pair."""
     for c1 in valid_rules(g):
-        if cut(g, c1).power > 3:
+        power = cut(g, c1).power
+        if power > 3:
             continue
         for c2 in valid_rules(h):
-            prods = recombine(cut(g, c1), cut(h, c2))
-            if prods:
-                yield SplicingRule(c1, c2), prods
+            s = SplicingRule(c1, c2)
+            if cut(h, c2).power != power or c1.reflexive != c2.reflexive:
+                with pytest.raises(NotApplicableError):
+                    sigma_pair(g, h, s)
+                continue
+            yield s, sigma_pair(g, h, s)
 
 
 def test_rule_construction_and_swap():
@@ -56,18 +62,22 @@ def test_rule_construction_and_swap():
 
 
 def test_applicability():
-    assert recombine(cut(cycle(3), (1, 2)), cut(cycle(4), (2, 3)))
+    c3, c4 = cut(cycle(3), (1, 2)), cut(cycle(4), (2, 3))
+    assert c3.shape == c4.shape == (2, True)
+    assert [d for d, _pre, _suf in directions(c3, c4)] == [1, 2]
     # one side cuts a vertex, the other does not
     two_edges = PlfGraph(4, ((1, 2), (3, 4)))
-    assert recombine(cut(two_edges, (2, 3)), cut(path(2), (1, 1))) == []
+    gap, split = cut(two_edges, (2, 3)), cut(path(2), (1, 1))
+    assert (gap.shape, split.shape) == ((0, True), (0, False))
+    assert directions(gap, split) == ()
     # powers 6 vs 1
-    assert recombine(cut(complete(5), (2, 3)), cut(path(2), (1, 2))) == []
+    assert directions(cut(complete(5), (2, 3)), cut(path(2), (1, 2))) == ()
 
 
-def test_recombine_power_cap(monkeypatch):
+def test_sigma_pair_power_cap(monkeypatch):
     monkeypatch.setattr(splicing, "SPLICE_POWER_CAP", 2)
     # C3 cut at [1,2] or [2,3] severs two edges: at the cap, 2(2!) products
-    assert len(recombine(cut(cycle(3), (1, 2)), cut(cycle(3), (2, 3)))) == 4
+    assert len(sigma_pair(cycle(3), cycle(3), RUNNING_RULE)) == 4
     # K4 cut at [1,2] or [3,4] severs three; the cap is checked before
     # any of the m! bijections is listed
     def no_bijections(*args):
@@ -75,7 +85,7 @@ def test_recombine_power_cap(monkeypatch):
 
     monkeypatch.setattr(splicing, "permutations", no_bijections)
     with pytest.raises(CapExceededError):
-        recombine(cut(complete(4), (1, 2)), cut(complete(4), (3, 4)))
+        sigma_pair(complete(4), complete(4), make_rule((1, 2), (3, 4)))
 
 
 def test_products_require_applicability():
@@ -265,8 +275,13 @@ def test_join_rebuilds_the_source_graph():
 def test_product_count_and_order_bound(g, h):
     bound = max_product_order(g, h)
     for s, prods in recombinations(g, h):
-        assert prods == sigma_pair(g, h, s)
-        assert len(prods) == 2 * factorial(cut(g, s.first).power)
+        cg, ch = cut(g, s.first), cut(h, s.second)
+        # direction 1, then direction 2, each in lexicographic bijection order
+        assert [p.graph for p in prods] == (join(cg.prefix, ch.suffix)
+                                            + join(ch.prefix, cg.suffix))
+        assert [(p.direction, p.bijection, p.rule) for p in prods] == [
+            (d, r, s) for d in (1, 2) for r in permutations(range(cg.power))]
+        assert len(prods) == 2 * factorial(cg.power)
         for p in prods:
             assert p.graph.order <= bound
 
