@@ -240,52 +240,67 @@ def check_splice_theorems(max_order: int = 5, max_power: int = 3) -> list[Theore
             prof = degree_profile(gb)
             suffix_parts.append((suf, _halves(gb, ib, reflexive), ib, gb.order,
                                  prof.right[ib - 1], list(prof.total[ib:])))
+        by_position: dict = {}
         for pre in pres:
-            ca = pre.rep
-            ia = ca.rule.i
-            kept, _, left_ends, _ = _halves(ca.graph, ia, reflexive)
-            prof = degree_profile(ca.graph)
-            # a half-vertex merges ld(i) of the prefix with rd(j) of the suffix
-            head = list(prof.total[:ia - reflexive])
-            half = prof.left[ia - 1]
-            na_min = min(pre.orders)
+            by_position.setdefault(pre.rep.rule.i, []).append(pre)
+        for ia, group in by_position.items():
+            # Prefix(g)+Suffix(h) from the edge lists: h's side shifts so
+            # that its cut position lands on g's, once per suffix group
+            # and cut position.  Every kept edge and every weld starts at
+            # or before ia - reflexive, and every shifted suffix edge at or
+            # after ia + 1 - reflexive, so sorted(kept + welds) followed by
+            # the sorted suffix edges is sorted(kept + welds + suffix).
+            shifted = []
             for suf, (_, right, _, right_ends), ib, nb, rd, tail in suffix_parts:
-                pairs = pre.count * suf.count
-                built = splicing.join(ca.prefix, suf.rep.suffix)
-                products += 2 * pairs * len(built)
-                if len(built) != want:
-                    flag("count", pairs, pre, suf,
-                         f"got {len(built)} products, expected {want}")
-                # Prefix(g)+Suffix(h) from the edge lists: h's side shifts
-                # so that its cut position lands on g's
                 shift = ia - ib
-                base = kept + [(u + shift, v + shift) for u, v in right]
-                for r, p in zip(bijections, built):
-                    rebuilt = base + [(left_ends[t], right_ends[r[t]] + shift)
-                                      for t in range(m)]
-                    if (p.order, p.edges) != (nb + shift, tuple(sorted(rebuilt))):
-                        flag("reversal", pairs, pre, suf,
-                             f"bijection {r} joined to {p}")
-                        break
-                expected = [*head, half + rd, *tail] if reflexive else head + tail
-                low = na_min + nb - 1  # the smallest bound of any source order
-                for p in built:
-                    deg = [0] * (p.order + 1)
-                    for u, v in p.edges:
-                        deg[u] += 1
-                        deg[v] += 1
-                    if deg[1:] != expected:
-                        flag("degree", 2 * pairs, pre, suf,
-                             f"degrees {tuple(deg[1:])}, expected {tuple(expected)}")
-                    if p.order <= low and p.size <= low:
-                        continue
-                    for na, k in pre.orders.items():
-                        bound = na + nb - 1
-                        if p.order > bound:
-                            flag("bound", 2 * k * suf.count, pre, suf,
-                                 f"order {p.order} exceeds {bound}")
-                        if p.size > bound:
-                            oversize += 2 * k * suf.count
+                shifted.append((suf, nb, nb + shift, rd, tail,
+                                tuple(sorted([(u + shift, v + shift)
+                                              for u, v in right])),
+                                [a + shift for a in right_ends]))
+            for pre in group:
+                ca = pre.rep
+                kept, _, left_ends, _ = _halves(ca.graph, ia, reflexive)
+                kept_edges = tuple(sorted(kept))
+                prof = degree_profile(ca.graph)
+                # a half-vertex merges ld(i) of the prefix with rd(j) of the suffix
+                head = list(prof.total[:ia - reflexive])
+                half = prof.left[ia - 1]
+                na_min = min(pre.orders)
+                for suf, nb, order, rd, tail, suffix_edges, ends in shifted:
+                    pairs = pre.count * suf.count
+                    built = splicing.join(ca.prefix, suf.rep.suffix)
+                    products += 2 * pairs * len(built)
+                    if len(built) != want:
+                        flag("count", pairs, pre, suf,
+                             f"got {len(built)} products, expected {want}")
+                    for r, p in zip(bijections, built):
+                        edges = (tuple(sorted(kept + [(left_ends[t], ends[r[t]])
+                                                      for t in range(m)]))
+                                 if m else kept_edges) + suffix_edges
+                        if (p.order, p.edges) != (order, edges):
+                            flag("reversal", pairs, pre, suf,
+                                 f"bijection {r} joined to {p}")
+                            break
+                    expected = [*head, half + rd, *tail] if reflexive else head + tail
+                    low = na_min + nb - 1  # the smallest bound of any source order
+                    for p in built:
+                        deg = [0] * (p.order + 1)
+                        for u, v in p.edges:
+                            deg[u] += 1
+                            deg[v] += 1
+                        if deg[1:] != expected:
+                            flag("degree", 2 * pairs, pre, suf,
+                                 f"degrees {tuple(deg[1:])}, "
+                                 f"expected {tuple(expected)}")
+                        if p.order <= low and p.size <= low:
+                            continue
+                        for na, k in pre.orders.items():
+                            bound = na + nb - 1
+                            if p.order > bound:
+                                flag("bound", 2 * k * suf.count, pre, suf,
+                                     f"order {p.order} exceeds {bound}")
+                            if p.size > bound:
+                                oversize += 2 * k * suf.count
 
     by_order = Counter(g.order for g in corpus)
     first = {}

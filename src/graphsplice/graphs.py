@@ -76,8 +76,11 @@ class PlfGraph:
         Nothing is checked, so only code that guarantees that may call it.
         """
         g = object.__new__(cls)
-        object.__setattr__(g, "order", order)
-        object.__setattr__(g, "edges", edges)
+        # the fields live in the instance dict, as for any dataclass
+        # without slots; writing it directly skips the frozen __setattr__
+        d = g.__dict__
+        d["order"] = order
+        d["edges"] = edges
         return g
 
     @property

@@ -233,8 +233,11 @@ def language(system: SplicingSystem, config: LanguageConfig | None = None) -> La
     order is within max_order (unlimited-supply semantics: once a class
     is seen it stays available).  Oversize products are recorded as
     classes but never re-spliced.  Saturation means an iteration added
-    no class at all, so the recorded set is complete for the given
-    max_order; hitting max_iterations first leaves saturated False.
+    no class at all: the closure of the in-cap classes is a fixpoint;
+    hitting max_iterations first leaves saturated False.  It does not
+    mean the language has no other class within max_order: a splice can
+    shrink a graph, so a class reachable only through an intermediate
+    above max_order is never found.
 
     Only pairs that involve a class new since the previous iteration can
     make a new class.  Each iteration therefore joins only the fragment

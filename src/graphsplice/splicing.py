@@ -81,17 +81,20 @@ def join(prefix: Fragment, suffix: Fragment) -> list[PlfGraph]:
     offset = prefix.end - suffix.start + (0 if merged else 1)
     order = suffix.end + offset
     intact = [*prefix.intact,
-              *((u + offset, v + offset) for u, v in suffix.intact)]
-    left = prefix.hanging
-    right = [a + offset for a in suffix.hanging]
+              *[(u + offset, v + offset) for u, v in suffix.intact]]
     # The products skip PlfGraph's validation, which is sound because
     # every edge already has 1 <= u < v <= order: intact comes from
     # validated graphs (suffix edges shift by the same offset as the
     # suffix's own positions), every prefix anchor is at most prefix.end,
-    # and every shifted suffix anchor is above it.  Sorting the tuple is
-    # the one normalization left (hand-made fragments may be unsorted).
-    # permutations of right, like those of range(m), come in index order.
+    # and every shifted suffix anchor is above it.  Sorting is the one
+    # normalization left (hand-made fragments may be unsorted).
     build = PlfGraph._from_sorted
+    if not m:
+        intact.sort()
+        return [build(order, tuple(intact))]
+    left = prefix.hanging
+    right = [a + offset for a in suffix.hanging]
+    # permutations of right, like those of range(m), come in index order
     return [build(order, tuple(sorted([*intact, *zip(left, ends)])))
             for ends in permutations(right)]
 

@@ -111,6 +111,21 @@ def test_reversal_check_catches_a_misrouted_join(monkeypatch):
     assert reports["degree-preservation"].status == "verified"
 
 
+def test_reversal_check_catches_a_join_with_unsorted_edges(monkeypatch):
+    # the check compares against a presorted rebuild, so edges in any
+    # other order are a violation; the degrees do not see the order
+    join = splicing.join
+
+    def reversed_edges(prefix, suffix):
+        return [PlfGraph._from_sorted(p.order, p.edges[::-1])
+                for p in join(prefix, suffix)]
+
+    monkeypatch.setattr(splicing, "join", reversed_edges)
+    reports = {r.check_id: r for r in check_splice_theorems(3, 3)}
+    assert reports["reversal"].status == "violated"
+    assert reports["degree-preservation"].status == "verified"
+
+
 def test_degree_check_catches_a_join_that_drops_an_edge(monkeypatch):
     join = splicing.join
 

@@ -289,17 +289,17 @@ def test_closure_matches_naive_oracle(system, config):
     assert_matches_oracle(system, config)
 
 
+def _rule(i, reflexive):
+    return CuttingRule(i, i if reflexive else i + 1)
+
+
 def _splicing_rules(top=5):
     """Rule pairs over positions 1..top: two in three cut alike (both
     gaps or both vertex splits), the rest may mix the two."""
     position = st.integers(min_value=1, max_value=top)
-
-    def rule(i, reflexive):
-        return CuttingRule(i, i if reflexive else i + 1)
-
-    alike = st.builds(lambda i, k, r: SplicingRule(rule(i, r), rule(k, r)),
+    alike = st.builds(lambda i, k, r: SplicingRule(_rule(i, r), _rule(k, r)),
                       position, position, st.booleans())
-    free = st.builds(lambda i, k, r, q: SplicingRule(rule(i, r), rule(k, q)),
+    free = st.builds(lambda i, k, r, q: SplicingRule(_rule(i, r), _rule(k, q)),
                      position, position, st.booleans(), st.booleans())
     return st.one_of(alike, alike, free)
 
@@ -595,3 +595,64 @@ def test_gap_rule_languages_of_a_regular_axiom_stay_regular():
     # K3,3 cut at [3,4] severs all 9 edges, above SPLICE_POWER_CAP
     assert refused == [(complete_bipartite(3, 3), make_rule((3, 4), (3, 4)))]
     assert (systems, classes) == (53, 152)
+
+
+def test_saturation_below_the_cap_is_not_completeness():
+    """A saturated run is a fixpoint of the in-cap closure only: on this
+    system a splice through a graph above max-order 5 reaches two more
+    classes of order 5 or less, which max-order 7 finds."""
+    system = SplicingSystem(
+        (PlfGraph(4, ((1, 2), (1, 4), (2, 3), (2, 4), (3, 4))),
+         PlfGraph(4, ((1, 2), (1, 4), (2, 3), (2, 4)))),
+        (make_rule((2, 3), (3, 4)), make_rule((4, 5), (1, 2))))
+    found = {}
+    for max_order in (5, 7):
+        res = language(system, LanguageConfig(max_iterations=20,
+                                              max_order=max_order))
+        assert res.saturated
+        found[max_order] = sum(info.representative.order <= 5
+                               for info in res.classes.values())
+    assert found == {5: 12, 7: 14}
+
+
+def _equal_position_rules():
+    """Rule pairs that cut both graphs at the same position i."""
+    return st.builds(lambda i, r, q: SplicingRule(_rule(i, r), _rule(i, q)),
+                     st.integers(min_value=1, max_value=4),
+                     st.booleans(), st.booleans())
+
+
+def assert_no_class_outgrows_the_axioms(system, config):
+    """With first.i == second.i in every rule, direction 1 of a splice of
+    g and h has order i + n(h) - i and direction 2 order n(g), so no
+    class is larger than the largest axiom."""
+    res = language(system, config)
+    biggest = max(g.order for g in system.axioms)
+    assert all(info.representative.order <= biggest
+               for info in res.classes.values())
+    assert all(t.new_overcap == 0 for t in res.trace)
+    return res
+
+
+@pytest.mark.parametrize("system", [
+    SplicingSystem(GAP_AXIOMS, tuple(make_rule((i, i + 1), (i, i + 1))
+                                     for i in range(1, 4))),
+    SplicingSystem(GAP_AXIOMS, tuple(make_rule((i, i), (i, i))
+                                     for i in range(1, 5))),
+    SplicingSystem((cycle(3), cycle(4)),
+                   (make_rule((1, 2), (1, 2)), make_rule((2, 2), (2, 2)))),
+], ids=["gap", "split", "cycles"])
+def test_equal_position_rules_never_outgrow_the_axioms(system):
+    res = assert_no_class_outgrows_the_axioms(
+        system, LanguageConfig(max_iterations=20, max_order=8))
+    assert res.saturated
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(plf_graphs(min_order=2, max_order=4, max_edges=6, simple=True),
+                min_size=1, max_size=3),
+       st.lists(_equal_position_rules(), min_size=1, max_size=3))
+def test_equal_position_rules_never_outgrow_drawn_axioms(axioms, rules):
+    assert_no_class_outgrows_the_axioms(
+        SplicingSystem(tuple(axioms), tuple(rules)),
+        LanguageConfig(max_iterations=3, max_order=6))

@@ -247,6 +247,34 @@ def test_join_sorts_the_edges_of_hand_made_fragments():
     assert product == PlfGraph(5, product.edges)
 
 
+@pytest.mark.parametrize("prefix, suffix, order, edges", [
+    # gap shape: the suffix shifts by prefix.end - suffix.start + 1 = 3
+    (Fragment("prefix", 1, 3, ((2, 3), (1, 3), (1, 2)), ()),
+     Fragment("suffix", 1, 3, ((2, 3), (1, 2)), ()),
+     6, ((1, 2), (1, 3), (2, 3), (4, 5), (5, 6))),
+    # split shape: suffix position 2 merges into prefix position 3
+    (Fragment("prefix", 1, 3, ((2, 3), (1, 3), (1, 2)), (), 3),
+     Fragment("suffix", 2, 4, ((3, 4), (2, 4), (2, 3)), (), 2),
+     5, ((1, 2), (1, 3), (2, 3), (3, 4), (3, 5), (4, 5))),
+], ids=["gap", "split"])
+def test_power_zero_join_sorts_unsorted_intact_edges(prefix, suffix, order, edges):
+    built = join(prefix, suffix)
+    assert [(p.order, p.edges) for p in built] == [(order, edges)]
+    assert built[0] == PlfGraph(order, tuple(reversed(edges)))
+
+
+def test_an_unvalidated_graph_is_frozen_and_equals_the_validated_one():
+    edges = ((1, 2), (1, 3), (2, 3), (3, 4))
+    g = PlfGraph._from_sorted(4, edges)
+    validated = PlfGraph(4, ((3, 4), (2, 1), (1, 3), (2, 3)))
+    assert g == validated and hash(g) == hash(validated)
+    assert (g.order, g.edges, g.size) == (4, edges, 4)
+    for name, value in (("order", 5), ("edges", ()), ("size", 0)):
+        with pytest.raises(AttributeError):
+            setattr(g, name, value)
+    assert g == validated
+
+
 @settings(max_examples=60, deadline=None)
 @given(plf_graphs(max_order=6), plf_graphs(max_order=6))
 def test_join_builds_what_validation_would(g, h):
