@@ -16,7 +16,7 @@ from itertools import permutations
 from math import factorial
 
 from . import splicing
-from .cutting import CutResult, CuttingRule, cut, power_by_formula, valid_rules
+from .cutting import CuttingRule, cut, power_by_formula, valid_rules
 from .errors import CapExceededError, GraphSpliceError
 from .graphs import (
     ENUMERATION_CAP,
@@ -31,7 +31,7 @@ from .graphs import (
     is_regular,
     is_simple,
 )
-from .splicing import SplicingRule, directions, make_rule, sigma_pair
+from .splicing import SplicingRule, directions, file_cut, make_rule, sigma_pair
 
 SAMPLE_CAP = 20
 CONVERSE_SAMPLE_CAP = 50
@@ -131,43 +131,21 @@ _LAW_EXPECTATIONS = {
 }
 
 
-@dataclass
-class _CutGroup:
-    """Cuts with the same fragment on one side.  The fragment is all
-    join reads, and it fixes the source degrees of its retained
-    positions: its intact edges plus its anchors.
-
-    rep is the first such cut; orders counts the members by the order
-    of the graph they were cut from.
-    """
-
-    rep: CutResult
-    count: int = 0
-    orders: Counter = field(default_factory=Counter)
-
-
 def _cut_groups(graphs, max_power: int | None = None):
-    """Cut every graph by every rule once and group the fragments.
+    """Cut every graph by every rule once and file each cut of power at
+    most max_power by splicing.file_cut, with the graph's corpus index
+    as its row.
 
-    Returns {shape: (prefix groups, suffix groups)}, keyed by
-    CutResult.shape, so that the groups of one entry weld to each other
-    and to no other entry's.  Within a side, a group is keyed by its
-    fragment.
+    Returns {shape: (prefix groups, suffix groups)}, each side's groups
+    in filing order.
     """
-    out: dict = {}
-    for g in graphs:
+    index: dict = {}
+    for row, g in enumerate(graphs):
         for rule in valid_rules(g):
             c = cut(g, rule)
-            if max_power is not None and c.power > max_power:
-                continue
-            sides = out.setdefault(c.shape, ({}, {}))
-            for groups, frag in zip(sides, (c.prefix, c.suffix)):
-                group = groups.get(frag)
-                if group is None:
-                    group = groups[frag] = _CutGroup(c)
-                group.count += 1
-                group.orders[g.order] += 1
-    return {k: (list(p.values()), list(s.values())) for k, (p, s) in out.items()}
+            if max_power is None or c.power <= max_power:
+                file_cut(index, c, row)
+    return {k: (list(p.values()), list(s.values())) for k, (p, s) in index.items()}
 
 
 def _halves(g: PlfGraph, i: int, reflexive: bool):
@@ -196,11 +174,11 @@ def check_splice_theorems(max_order: int = 5, max_power: int = 3) -> list[Theore
     max_order and every applicable cut combination (g by rule a, h by
     rule b) of power m at most max_power; each such combo builds the m!
     products of Prefix(g)+Suffix(h) and the m! of Prefix(h)+Suffix(g).
-    Every per-product law reads only the (prefix, suffix) fragment pair,
-    so each graph is cut once, equal fragments are grouped, and join
-    runs once per distinct fragment pair.  Tallies are weighted by the
-    number of combos sharing the pair; over all ordered pairs a fragment
-    pair is built once per direction, hence the 2.
+    Each graph is cut once and its cuts are filed by splicing.file_cut,
+    whose docstring gives the filing rule, so join runs once per
+    distinct fragment pair.  Tallies are weighted by the number of
+    combos sharing the pair; over all ordered pairs a fragment pair is
+    built once per direction, hence the 2.
 
     The laws: m! products per direction; each join equals Prefix(g)+
     Suffix(h) rebuilt from the edge lists under the sweep's own list of
@@ -292,14 +270,15 @@ def check_splice_theorems(max_order: int = 5, max_power: int = 3) -> list[Theore
                             flag("degree", 2 * pairs, pre, suf,
                                  f"degrees {tuple(deg[1:])}, "
                                  f"expected {tuple(expected)}")
-                        if p.order <= low and p.size <= low:
+                        size = len(p.edges)
+                        if p.order <= low and size <= low:
                             continue
                         for na, k in pre.orders.items():
                             bound = na + nb - 1
                             if p.order > bound:
                                 flag("bound", 2 * k * suf.count, pre, suf,
                                      f"order {p.order} exceeds {bound}")
-                            if p.size > bound:
+                            if size > bound:
                                 oversize += 2 * k * suf.count
 
     by_order = Counter(g.order for g in corpus)
@@ -523,9 +502,9 @@ def check_iso_splice(max_order: int = 5) -> TheoremReport:
     tallied as converse exceptions.
 
     Runs like the product-law sweep, one isomorphism class at a time:
-    the members are cut once, fragments are grouped within the class,
-    and join runs once per distinct fragment pair, with every tally
-    weighted by the combos sharing the pair.
+    the members are cut once and filed by splicing.file_cut within the
+    class, and join runs once per distinct fragment pair, with every
+    tally weighted by the combos sharing the pair.
     """
     classes: dict[bytes, list[PlfGraph]] = {}
     for g in graphs_up_to(max_order, cap=PAIR_SWEEP_CAP):

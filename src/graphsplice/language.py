@@ -10,13 +10,11 @@ classes, keyed by canonical form.
 The closure is evaluated semi-naively over a fragment index.  Each
 in-cap class becomes a row of the index in the iteration after it
 appears: it is cut once per distinct cutting rule, and each cut is filed
-under its cutting rule, its shape (CutResult.shape) and its prefix
-and suffix fragments, each its own join key.  A product depends only on
-its (prefix, suffix) pair, so an iteration joins only the fragment pairs
-of one shape in which a new row filed at least one fragment first: a
-hash join of the new fragments against all fragments (Bancilhon &
-Ramakrishnan, SIGMOD 1986).  Each fragment pair is thus joined once per
-run.
+in its cutting rule's column by splicing.file_cut, which states the
+filing rule.  An iteration joins only the fragment pairs of one shape in
+which a new row filed at least one fragment first: a hash join of the
+new fragments against all fragments (Bancilhon & Ramakrishnan, SIGMOD
+1986).  Each fragment pair is thus joined once per run.
 
 The joins follow the first-visit order of a scan of the cells
 (first row, second row, rule, direction) of the row pairs that involve
@@ -34,10 +32,10 @@ from dataclasses import dataclass
 from math import factorial
 
 from . import splicing
-from .cutting import Fragment, cut
+from .cutting import cut
 from .errors import SystemDefinitionError
 from .graphs import PlfGraph, canonical_form, is_simple
-from .splicing import SplicingRule
+from .splicing import SplicingRule, file_cut
 
 DEFAULT_MAX_ITERATIONS = 4
 DEFAULT_MAX_ORDER = 8
@@ -117,27 +115,13 @@ class LanguageResult:
         return len(self.classes)
 
 
-class _Shape:
-    """The cuts of one shape (CutResult.shape) in one cutting-rule
-    column: rows counts the rows cut to this shape, and prefixes and
-    suffixes map each fragment to the first row whose cut has it.
-    Fragments are filed in row order."""
-
-    __slots__ = ("rows", "prefixes", "suffixes")
-
-    def __init__(self):
-        self.rows = 0
-        self.prefixes: dict[Fragment, int] = {}
-        self.suffixes: dict[Fragment, int] = {}
-
-
-def _filed_since(index: dict, old: int) -> list:
-    """The (fragment, first row) entries of a fragment index whose
-    fragment was first filed at row old or later: its last entries,
-    found from the end."""
+def _filed_since(groups: dict, old: int) -> list:
+    """The (fragment, group) entries of one side of a fragment index
+    whose fragment was first filed at row old or later.  Groups keep
+    filing order, so these are the last entries, found from the end."""
     fresh = []
-    for item in reversed(index.items()):
-        if item[1] < old:
+    for item in reversed(groups.items()):
+        if item[1].row < old:
             break
         fresh.append(item)
     return fresh
@@ -148,11 +132,10 @@ class _Splicer:
 
     Each added graph becomes the next row and is cut once per distinct
     cutting rule that fits its order; columns are indexed by
-    cutting-rule number.  A column files each cut under its shape, and
-    the shape files its prefix and its suffix.  A step pairs prefixes
-    with suffixes of one shape, not rows with rows: the split benchmark
-    system ends with 1-18 distinct prefixes and at most 70 distinct
-    suffixes per column.
+    cutting-rule number, and each is a splicing.file_cut index.  A step
+    pairs prefixes with suffixes of one shape, not rows with rows: the
+    split benchmark system ends with 1-18 distinct prefixes and at most
+    70 distinct suffixes per column.
     """
 
     def __init__(self, system: SplicingSystem):
@@ -161,22 +144,15 @@ class _Splicer:
         number = {c: k for k, c in enumerate(cutting)}
         self.cutting = cutting
         self.rules = [(number[s.first], number[s.second]) for s in system.rules]
-        self.columns: list[dict[tuple, _Shape]] = [{} for _ in cutting]
+        self.columns: list[dict] = [{} for _ in cutting]
         self.rows = 0
 
     def add(self, g: PlfGraph) -> None:
         row = self.rows
         self.rows += 1
         for c, column in zip(self.cutting, self.columns):
-            if not c.fits(g):
-                continue
-            cg = cut(g, c)
-            shape = column.get(cg.shape)
-            if shape is None:
-                shape = column[cg.shape] = _Shape()
-            shape.rows += 1
-            shape.prefixes.setdefault(cg.prefix, row)
-            shape.suffixes.setdefault(cg.suffix, row)
+            if c.fits(g):
+                file_cut(column, cut(g, c), row)
 
     def step(self, old: int) -> tuple[dict[bytes, PlfGraph], int, int]:
         """Splice the ordered pairs of rows that are not both below old,
@@ -199,19 +175,24 @@ class _Splicer:
         first_cell: dict[tuple, tuple] = {}  # (prefix, suffix) -> cell
         for r, (a, b) in enumerate(self.rules):
             second_column = self.columns[b]
-            for shape, first in self.columns[a].items():
-                second = second_column.get(shape)
-                if second is None:
-                    continue
-                raw += 2 * factorial(shape[0]) * first.rows * second.rows
+            for shape, (first_pres, first_sufs) in self.columns[a].items():
+                # no cut of the second column has this shape: no rows, no pairs
+                second_pres, second_sufs = second_column.get(shape, ({}, {}))
+                # each row filed one prefix, so the prefix counts sum to
+                # the rows cut to this shape
+                raw += (2 * factorial(shape[0])
+                        * sum(p.count for p in first_pres.values())
+                        * sum(p.count for p in second_pres.values()))
                 # direction 1 joins the first row's prefix to the second
                 # row's suffix, direction 2 the second's prefix to the first's
-                for d, prefixes, suffixes in ((1, first.prefixes, second.suffixes),
-                                              (2, second.prefixes, first.suffixes)):
+                for d, prefixes, suffixes in ((1, first_pres, second_sufs),
+                                              (2, second_pres, first_sufs)):
                     fresh = _filed_since(suffixes, old)
-                    for prefix, prow in prefixes.items():
-                        for suffix, srow in (suffixes.items() if prow >= old
-                                             else fresh):
+                    for prefix, pre in prefixes.items():
+                        prow = pre.row
+                        for suffix, suf in (suffixes.items() if prow >= old
+                                            else fresh):
+                            srow = suf.row
                             cell = (prow, srow, r, d) if d == 1 else (srow, prow, r, d)
                             seen = first_cell.get((prefix, suffix))
                             if seen is None or cell < seen:

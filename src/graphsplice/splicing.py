@@ -10,12 +10,14 @@ with its provenance.  join is the one weld: it builds the m! products
 of one (prefix, suffix) pair, and directions lists the pairs of two
 cuts.  join reads nothing of a fragment but its fields, so a fragment
 is its own join key: the closure, the law sweeps and the regularity
-report run it once per distinct (prefix, suffix) pair.
+report run it once per distinct (prefix, suffix) pair.  file_cut is the
+one filing function of the closure's and the law sweeps' fragment
+indexes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import permutations
 
 from .cutting import CutResult, CuttingRule, Fragment, as_rule, cut
@@ -106,6 +108,47 @@ def directions(cg: CutResult, ch: CutResult) -> tuple:
     if cg.shape != ch.shape:
         return ()
     return ((1, cg.prefix, ch.suffix), (2, ch.prefix, cg.suffix))
+
+
+@dataclass(slots=True)
+class _Group:
+    """The cuts filed under one fragment: rep and row are the first such
+    cut and its row, count how many were filed, and orders counts them
+    by the order of the graph they were cut from."""
+
+    rep: CutResult
+    row: int
+    count: int = 0
+    orders: dict = field(default_factory=dict)
+
+
+def file_cut(index: dict, cg: CutResult, row: int) -> None:
+    """File cg in a fragment index {shape: ({prefix: group},
+    {suffix: group})}, once under its prefix and once under its suffix.
+
+    This is the filing rule of the closure and the law sweeps.  A cut is
+    filed under its shape (CutResult.shape), because two cuts weld only
+    when their shapes are equal, so the groups of one shape weld to each
+    other and to no other shape's.  Within a side it is filed under its
+    fragment: a fragment is all join reads, so every product depends on
+    its (prefix, suffix) pair alone and a caller joins each pair once,
+    weighted by the groups' counts; and a fragment fixes the source
+    degrees of its retained positions (its intact edges plus its
+    anchors), so its first cut stands for all of them.  Shapes and
+    groups keep filing order, and a group keeps the row of its first
+    cut: filed again, a fragment only adds to count and orders.
+    """
+    shape = cg.shape
+    sides = index.get(shape)
+    if sides is None:
+        sides = index[shape] = ({}, {})
+    order = cg.graph.order
+    for groups, fragment in zip(sides, (cg.prefix, cg.suffix)):
+        group = groups.get(fragment)
+        if group is None:
+            group = groups[fragment] = _Group(cg, row)
+        group.count += 1
+        group.orders[order] = group.orders.get(order, 0) + 1
 
 
 def sigma_pair(g: PlfGraph, h: PlfGraph, s: SplicingRule) -> list[SpliceProduct]:

@@ -6,7 +6,8 @@ counting for cycles, color enumeration for bipartiteness, and one
 sigma_pair call per ordered pair and rule pair for the law sweeps, for
 the regularity report and for the closure.  Slow but obviously correct
 on small graphs.  The few helpers the tests need but the engine does not
-(relabelings, the reversed rule, the product-order bound) live here too.
+(relabelings, the reversed rule, the product-order bound, a fragment's
+join key spelled out) live here too.
 """
 
 from itertools import permutations
@@ -48,6 +49,14 @@ def swapped(s: SplicingRule) -> SplicingRule:
 def max_product_order(g: PlfGraph, h: PlfGraph) -> int:
     """Largest order any product of g and h can have."""
     return g.order + h.order - 1
+
+
+def join_key(frag):
+    """What join reads of a fragment, spelled out field by field instead
+    of the fragment itself, the engine's own key: (start, end, intact,
+    anchors, no split)."""
+    return (frag.start, frag.end, frag.intact, frag.hanging,
+            frag.half_vertex is None)
 
 
 def brute_canonical(g: PlfGraph):

@@ -36,7 +36,7 @@ from graphsplice.language import (
     SplicingSystem,
 )
 from conftest import plf_graphs
-from oracles import naive_language
+from oracles import join_key, naive_language
 
 RUNNING_RULE = make_rule((1, 2), (2, 3))
 
@@ -345,17 +345,9 @@ def test_each_graph_is_cut_once_per_rule(monkeypatch):
                              for c in distinct)
 
 
-def _join_key(frag):
-    """What join reads of a fragment, spelled out field by field instead
-    of the fragment itself, the closure's own key: (start, end, intact,
-    anchors, no split)."""
-    return (frag.start, frag.end, frag.intact, frag.hanging,
-            frag.half_vertex is None)
-
-
 def distinct_pairs(res, system, config):
     """Distinct (prefix, suffix) fragment pairs over every ordered pair of
-    spliced classes and every rule, as pairs of _join_key values.
+    spliced classes and every rule, as pairs of join_key values.
 
     Direction 1 of rule (c1, c2) joins a prefix cut by c1 to a suffix cut
     by c2, direction 2 a prefix cut by c2 to a suffix cut by c1; a pair
@@ -365,8 +357,8 @@ def distinct_pairs(res, system, config):
     pairs = set()
     for s in system.rules:
         for a, b in ((s.first, s.second), (s.second, s.first)):
-            prefixes = {_join_key(cut(g, a).prefix) for g in spliced if a.fits(g)}
-            suffixes = {_join_key(cut(h, b).suffix) for h in spliced if b.fits(h)}
+            prefixes = {join_key(cut(g, a).prefix) for g in spliced if a.fits(g)}
+            suffixes = {join_key(cut(h, b).suffix) for h in spliced if b.fits(h)}
             pairs.update((p, q) for p in prefixes for q in suffixes
                          if (len(p[3]), p[4]) == (len(q[3]), q[4]))
     return pairs
@@ -399,7 +391,7 @@ def test_each_fragment_pair_is_joined_once(monkeypatch, system, config, expected
     res = language(system, config)
     pairs = distinct_pairs(res, system, config)
     assert len(calls) == len(pairs)
-    assert {(_join_key(p), _join_key(s)) for p, s in calls} == pairs
+    assert {(join_key(p), join_key(s)) for p, s in calls} == pairs
     assert len(products) == sum(t.joins for t in res.trace)
     assert len(products) == sum(factorial(len(p[3])) for p, _ in pairs)
     if expected is not None:

@@ -1,3 +1,4 @@
+import random
 from itertools import permutations
 from math import factorial
 
@@ -13,6 +14,7 @@ from graphsplice import (
     cut,
     cycle,
     double_edge,
+    enumerate_simple_graphs,
     is_isomorphic,
     join,
     make_rule,
@@ -24,7 +26,7 @@ from graphsplice.graphs import canonical_form
 from graphsplice import splicing
 from graphsplice.splicing import SplicingRule, directions
 from conftest import plf_graphs
-from oracles import max_product_order, swapped
+from oracles import join_key, max_product_order, swapped
 
 RUNNING_RULE = make_rule((1, 2), (2, 3))
 
@@ -349,3 +351,60 @@ def test_degrees_survive_splicing(g, h):
                 else:
                     expected = h.degree(v - offset)
                 assert f.degree(v) == expected
+
+
+def test_file_cut_matches_a_tally_made_apart_from_it():
+    """Every valid cut of every simple graph of order <= 4 and of 100
+    seeded multigraphs, filed with the graph's index as its row.  The
+    tally keys shapes by (hanging count, rule reflexive) and fragments by
+    join_key; each group keeps its first cut and row, counts its cuts
+    and their source orders, and shapes and groups keep filing order."""
+    rng = random.Random(2007)
+    graphs = [g for n in range(1, 5) for g in enumerate_simple_graphs(n)]
+    for _ in range(100):
+        n = rng.randint(2, 6)
+        pairs = [(u, v) for u in range(1, n) for v in range(u + 1, n + 1)]
+        graphs.append(PlfGraph(n, tuple(rng.choice(pairs)
+                                        for _ in range(rng.randint(0, 10)))))
+    index = {}
+    # (power, split) -> per side {key: [row, graph, rule, count, orders]}
+    tally = {}
+    cuts = 0
+    for row, g in enumerate(graphs):
+        for rule in valid_rules(g):
+            c = cut(g, rule)
+            splicing.file_cut(index, c, row)
+            cuts += 1
+            sides = tally.setdefault((len(c.ecut), rule.reflexive), ({}, {}))
+            for side, frag in zip(sides, (c.prefix, c.suffix)):
+                entry = side.setdefault(join_key(frag), [row, g, rule, 0, {}])
+                entry[3] += 1
+                entry[4][g.order] = entry[4].get(g.order, 0) + 1
+    assert cuts == 1181
+    assert list(index) == [(m, not split) for m, split in tally]
+    for (m, split), want_sides in tally.items():
+        for kind, want, groups in zip(("prefix", "suffix"), want_sides,
+                                      index[m, not split]):
+            assert all(f.kind == kind for f in groups)
+            got = {join_key(f): [grp.row, grp.rep.graph, grp.rep.rule,
+                                  grp.count, dict(grp.orders)]
+                   for f, grp in groups.items()}
+            # equal lists of keys: no two filed fragments share a join key
+            assert list(got) == list(want)
+            assert got == want
+
+
+def test_a_fragment_filed_again_keeps_its_first_cut_and_row():
+    index = {}
+    first = cut(path(3), (1, 2))
+    splicing.file_cut(index, first, 5)
+    splicing.file_cut(index, cut(path(3), (1, 2)), 2)
+    # the same prefix as path(3)'s, with another suffix and source order
+    splicing.file_cut(index, cut(PlfGraph(4, ((1, 2),)), (1, 2)), 9)
+    [(shape, (prefixes, suffixes))] = index.items()
+    assert shape == (1, True)
+    [pre] = prefixes.values()
+    assert (pre.rep, pre.row, pre.count, pre.orders) == (first, 5, 3, {3: 2, 4: 1})
+    assert pre.rep is first
+    assert [(s.row, s.count, s.orders) for s in suffixes.values()] == [
+        (5, 2, {3: 2}), (9, 1, {4: 1})]
