@@ -446,19 +446,7 @@ def cycle_certificate(g: PlfGraph) -> CycleCertificate | None:
     is why cyclic graphs always yield one; some acyclic layouts do too
     (callers wanting an exact cycle test use the search oracle instead).
     """
-    n = g.order
-    if n < 2 or not g.edges:
-        return None
-    starts = [0] * (n + 1)
-    ends = [0] * (n + 1)
-    for u, v in g.edges:
-        starts[u] += 1
-        ends[v] += 1
-    gap_power = [0] * n  # gap_power[i] = edges crossing between i and i+1
-    run = 0
-    for i in range(1, n):
-        run += starts[i] - ends[i]
-        gap_power[i] = run
+    gap_power = degree_profile(g).gap_powers
     for a, b in sorted(set(g.edges), key=lambda e: (e[0], -e[1])):
         if all(gap_power[i] > 1 for i in range(a, b)):
             return CycleCertificate(
@@ -514,7 +502,6 @@ def check_iso_splice(max_order: int = 5) -> TheoremReport:
     same_order = 0
     exceptions = 0
     exception_samples = []
-    violations = []  # unreachable by arithmetic, kept for honesty
     for key, members in classes.items():
         n = members[0].order
         for pres, sufs in _cut_groups(members).values():
@@ -538,7 +525,7 @@ def check_iso_splice(max_order: int = 5) -> TheoremReport:
                                     f"{(ca.rule.i, ca.rule.j)}:"
                                     f"{(cb.rule.i, cb.rule.j)} gave {p}"
                                 )
-    return _report("iso-order", instances, len(violations), violations,
+    return _report("iso-order", instances, 0, [],
                    {"isomorphic_pairs": sum(len(m) ** 2 for m in classes.values()),
                     "same_order_products": same_order,
                     "converse_exceptions": exceptions,
@@ -555,20 +542,12 @@ def check_bipartite_criterion(max_order: int = 6) -> TheoremReport:
     for g in graphs_up_to(max_order):
         instances += 1
         n, size = g.order, g.size
-        full_rules = []
-        gap_power = [0] * n
-        over_power = [0] * (n + 1)
-        for u, v in g.edges:
-            for i in range(u, v):
-                gap_power[i] += 1
-            for i in range(u + 1, v):
-                over_power[i] += 1
-        for i in range(1, n):
-            if gap_power[i] == size:
-                full_rules.append(CuttingRule(i, i + 1))
-        for i in range(1, n + 1):
-            if over_power[i] == size:
-                full_rules.append(CuttingRule(i, i))
+        prof = degree_profile(g)
+        gap_power = prof.gap_powers
+        full_rules = [CuttingRule(i, i + 1) for i in range(1, n)
+                      if gap_power[i] == size]
+        full_rules += [CuttingRule(i, i) for i in range(1, n + 1)
+                       if gap_power[i - 1] - prof.left[i - 1] == size]
         if len(full_rules) == 1:
             unique_tally += 1
         if size > 0 and full_rules and not is_bipartite(g):

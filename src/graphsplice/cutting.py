@@ -169,8 +169,9 @@ def cut(g: PlfGraph, rule) -> CutResult:
 def power_by_formula(g: PlfGraph, rule, side: str = "left") -> int:
     """Severed-edge count of a gap rule from degree bookkeeping alone.
 
-    side "left" evaluates rd(i) - ld(i) + sum over v < i of rd(v) - ld(v);
-    side "right" the mirror image from position j.  Only defined for
+    side "left" reads the sum over v <= i of rd(v) - ld(v) from
+    DegreeProfile.gap_powers; side "right" evaluates the mirror image,
+    the sum over v >= j of ld(v) - rd(v).  Only defined for
     non-reflexive rules (the derivation splits on the gap edge (i,j),
     which a splitting rule does not have).
     """
@@ -181,13 +182,10 @@ def power_by_formula(g: PlfGraph, rule, side: str = "left") -> int:
             f"rule {rule} is reflexive; the degree formula covers gap rules only"
         )
     prof = degree_profile(g)
-    ld, rd = prof.left, prof.right
     if side == "left":
-        i = rule.i
-        return rd[i - 1] - ld[i - 1] + sum(
-            rd[v - 1] - ld[v - 1] for v in range(1, i)
-        )
+        return prof.gap_powers[rule.i]
     if side == "right":
+        ld, rd = prof.left, prof.right
         j = rule.j
         return ld[j - 1] - rd[j - 1] + sum(
             ld[v - 1] - rd[v - 1] for v in range(j + 1, g.order + 1)

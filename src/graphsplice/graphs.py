@@ -13,7 +13,7 @@ import operator
 import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations
 
 from .errors import CapExceededError, InvalidGraphError, InvalidOrderingError
 
@@ -134,6 +134,16 @@ class DegreeProfile:
         object.__setattr__(
             self, "total", tuple(l + r for l, r in zip(self.left, self.right))
         )
+
+    @property
+    def gap_powers(self) -> tuple[int, ...]:
+        """gap_powers[i], for i = 0..n, counts the edges over the gap
+        between positions i and i+1: the sum over v <= i of rd(v) - ld(v),
+        since an edge starts where it adds to rd and ends where it adds
+        to ld.  Both ends are 0.  Splitting vertex i severs
+        gap_powers[i-1] - ld(i) edges, those over gap i-1|i that do not
+        end at i."""
+        return (0, *accumulate(r - l for l, r in zip(self.left, self.right)))
 
 
 def degree_profile(g: PlfGraph) -> DegreeProfile:

@@ -14,15 +14,8 @@ in its cutting rule's column by splicing.file_cut, which states the
 filing rule.  An iteration joins only the fragment pairs of one shape in
 which a new row filed at least one fragment first: a hash join of the
 new fragments against all fragments (Bancilhon & Ramakrishnan, SIGMOD
-1986).  Each fragment pair is thus joined once per run.
-
-The joins follow the first-visit order of a scan of the cells
-(first row, second row, rule, direction) of the row pairs that involve
-a new row.  That scan first meets a fragment pair in the cell of the
-rows that filed its two fragments first, so the first product found for
-each class is the scan's.  raw_products still counts the logical
-products over all ordered pairs of each iteration: per rule and shape,
-2(m!) times the two columns' row counts.
+1986).  Each fragment pair is thus joined once per run, in the order
+that _Splicer.step states.
 """
 
 from __future__ import annotations
@@ -32,7 +25,7 @@ from dataclasses import dataclass
 from math import factorial
 
 from . import splicing
-from .cutting import cut
+from .cutting import CuttingRule, cut
 from .errors import SystemDefinitionError
 from .graphs import PlfGraph, canonical_form, is_simple
 from .splicing import SplicingRule, file_cut
@@ -131,26 +124,23 @@ class _Splicer:
     """The fragment index of one closure run.
 
     Each added graph becomes the next row and is cut once per distinct
-    cutting rule that fits its order; columns are indexed by
-    cutting-rule number, and each is a splicing.file_cut index.  A step
+    cutting rule that fits its order; columns are keyed by cutting rule,
+    in first-seen order, and each is a splicing.file_cut index.  A step
     pairs prefixes with suffixes of one shape, not rows with rows: the
     split benchmark system ends with 1-18 distinct prefixes and at most
     70 distinct suffixes per column.
     """
 
     def __init__(self, system: SplicingSystem):
-        cutting = list(dict.fromkeys(
-            c for s in system.rules for c in (s.first, s.second)))
-        number = {c: k for k, c in enumerate(cutting)}
-        self.cutting = cutting
-        self.rules = [(number[s.first], number[s.second]) for s in system.rules]
-        self.columns: list[dict] = [{} for _ in cutting]
+        self.rules = system.rules
+        self.columns: dict[CuttingRule, dict] = {
+            c: {} for s in system.rules for c in (s.first, s.second)}
         self.rows = 0
 
     def add(self, g: PlfGraph) -> None:
         row = self.rows
         self.rows += 1
-        for c, column in zip(self.cutting, self.columns):
+        for c, column in self.columns.items():
             if c.fits(g):
                 file_cut(column, cut(g, c), row)
 
@@ -165,17 +155,20 @@ class _Splicer:
         of all ordered pairs of rows (2(m!) per pair and rule whose cuts
         weld) and the number of products built.
 
-        A scan of the cells (first row, second row, rule, direction) of
-        these row pairs would first meet a fragment pair in the cell of
-        its two fragments' first rows, because one of them is at least
-        old.  The pairs are joined in the order of those cells, so the
-        first product found for each class is the scan's.
+        The scan-order rule: a scan of the cells (first row, second row,
+        rule, direction) of these row pairs would first meet a fragment
+        pair in the cell of its two fragments' first rows, because one
+        of them is at least old.  The pairs are joined in the order of
+        those cells, so the first product found for each class is the
+        scan's, and the classes, their representatives and their order
+        are those of splicing every ordered pair of rows in every
+        iteration.
         """
         raw = 0
         first_cell: dict[tuple, tuple] = {}  # (prefix, suffix) -> cell
-        for r, (a, b) in enumerate(self.rules):
-            second_column = self.columns[b]
-            for shape, (first_pres, first_sufs) in self.columns[a].items():
+        for r, s in enumerate(self.rules):
+            second_column = self.columns[s.second]
+            for shape, (first_pres, first_sufs) in self.columns[s.first].items():
                 # no cut of the second column has this shape: no rows, no pairs
                 second_pres, second_sufs = second_column.get(shape, ({}, {}))
                 # each row filed one prefix, so the prefix counts sum to
@@ -223,12 +216,8 @@ def language(system: SplicingSystem, config: LanguageConfig | None = None) -> La
     Only pairs that involve a class new since the previous iteration can
     make a new class.  Each iteration therefore joins only the fragment
     pairs in which a new class filed at least one fragment first, so each
-    fragment pair is joined once per run.  The pairs are joined in the
-    order in which a scan of the (first class, second class, rule,
-    direction) cells would first meet them, the cell of the classes that
-    filed the two fragments first: the classes and the first product
-    found for each are those of splicing every ordered pair every
-    iteration in scan order.
+    fragment pair is joined once per run, in the order that
+    _Splicer.step states.
     raw_products counts the logical products over all ordered pairs,
     those not visited included; joins counts the products actually
     built.

@@ -1,16 +1,19 @@
 """The acceptance gate: sixteen checks, one summary line each.
 
-Every test computes its verdict, records it for the terminal summary
-(printed by the conftest hook after the run), and then asserts.  The
-regularity check is a strict expected failure: vertex-splitting rule
-pairs rebuild the merged vertex with degree ld(i) + rd(j), which the
-degree-preservation law requires, and that degree need not match the
-operands' regular degree.  The smallest counterexample, splitting two
+Every criterion computes its verdict, records it for the terminal
+summary (printed by the conftest hook after the run), and then asserts.
+One more test pins the bytes of the default `verify` output, built
+from the reports that the law_sweep fixture computes once for several
+criteria.  The regularity check is a strict expected failure:
+vertex-splitting rule pairs rebuild the merged vertex with degree
+ld(i) + rd(j), which the degree-preservation law requires, and that
+degree need not match the operands' regular degree.  The smallest counterexample, splitting two
 triangles at their extreme vertices, yields a single vertex of degree 0
 or a figure-eight vertex of degree 4.  The test records an honest FAIL
 line rather than weakening either law.
 """
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -40,14 +43,12 @@ from graphsplice import (
 from graphsplice.analysis import (
     _kn_symmetry_report,
     _noncommutativity_report,
-    _regularity_report,
     _simplicity_report,
     check_bipartite_criterion,
     check_cycle_theorem,
     check_degree_balance,
-    check_iso_splice,
     check_power_formula,
-    check_splice_theorems,
+    verify_all,
 )
 from graphsplice.cli import main
 from graphsplice.formats import parse_graph, to_dot, write_graph, write_system
@@ -60,12 +61,25 @@ def record(number, label, passed, detail=""):
     ACCEPTANCE_RESULTS.append((number, label, bool(passed), detail))
 
 
+# sha256 of the default `graphsplice verify` stdout (order 5, power 3),
+# which prints every report of verify_all(5, 3) as JSON and exits 1
+# because regularity-preservation is violated by design
+VERIFY_DEFAULT_SHA256 = (
+    "ce1d65c04e086a5352e61a244c4bee1388d95f3ac27248103723bfb5405723b8")
+
+
 @pytest.fixture(scope="module")
 def law_sweep():
-    # one shared pass over all ordered pairs of simple graphs of order
-    # up to 5 at power up to 3; several criteria read from it
-    reports = check_splice_theorems(5, 3)
-    return {r.check_id: r for r in reports}
+    # one run of every check at verify's defaults, in verify order, keyed
+    # by check id; the law sweep in it pairs all simple graphs of order
+    # up to 5 at power up to 3, and several criteria read from it
+    return {r.check_id: r for r in verify_all(5, 3)}
+
+
+def test_default_verify_report_bytes_are_pinned(law_sweep):
+    out = json.dumps([r.to_dict() for r in law_sweep.values()],
+                     indent=2, sort_keys=True) + "\n"
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_DEFAULT_SHA256
 
 
 def test_criterion_01_k5_cut(tmp_path, capsys):
@@ -162,8 +176,8 @@ def test_criterion_07_degree_preservation(law_sweep):
     "degree; splitting two triangles at their extreme vertices is the "
     "smallest counterexample",
 )
-def test_criterion_08_regularity_preservation():
-    rep = _regularity_report()
+def test_criterion_08_regularity_preservation(law_sweep):
+    rep = law_sweep["regularity-preservation"]
     detail = (
         f"{rep.extras['violations_total']} non-regular products, all from "
         f"vertex-splitting rule pairs (straddling rules: "
@@ -253,8 +267,8 @@ def test_criterion_13_full_power_bipartite():
     assert ok, rep.to_dict()
 
 
-def test_criterion_14_iso_order():
-    rep = check_iso_splice(5)
+def test_criterion_14_iso_order(law_sweep):
+    rep = law_sweep["iso-order"]
     ok = (
         rep.ok
         and rep.extras["isomorphic_pairs"] == 48075

@@ -215,6 +215,33 @@ def test_formula_matches_direct_power(pair):
     assert power_by_formula(g, rule, "right") == cut(g, rule).power
 
 
+def _check_gap_powers(g):
+    prof = degree_profile(g)
+    powers = prof.gap_powers
+    assert len(powers) == g.order + 1
+    assert powers[0] == powers[-1] == 0
+    for rule in valid_rules(g):
+        i = rule.i
+        # splitting vertex i severs the edges over gap i-1|i that do
+        # not end at i
+        want = powers[i - 1] - prof.left[i - 1] if rule.reflexive else powers[i]
+        assert cut(g, rule).power == want, (g, rule)
+
+
+def test_gap_powers_give_every_rules_power():
+    """DegreeProfile.gap_powers counts the severed edges of every rule
+    of every simple graph up to order 5."""
+    graphs = [g for n in range(1, 6) for g in enumerate_simple_graphs(n)]
+    assert len(graphs) == 1099
+    for g in graphs:
+        _check_gap_powers(g)
+
+
+@given(plf_graphs())
+def test_gap_powers_give_every_rules_power_on_multigraphs(g):
+    _check_gap_powers(g)
+
+
 def test_gap_cut_decomposes_into_reflexive_cuts():
     """On simple graphs a gap cut severs the two vertex cuts' edges
     plus the gap edge itself."""
