@@ -22,6 +22,9 @@ CANON_NODE_BUDGET = 1_000_000
 
 Edge = tuple[int, int]
 
+# the text of each one-digit multiplicity, for writing canonical keys
+_DIGITS = tuple(map(str, range(10)))
+
 
 @dataclass(frozen=True)
 class PlfGraph:
@@ -285,7 +288,9 @@ def _canonical_search(order: int, edges) -> bytes:
     count different numbers of edges into a splitter is split, in order
     of increasing count.  A node whose non-singleton cells are each one
     twin class (vertices whose multiplicity rows agree outside the pair,
-    so any order of them gives the same vector) is a leaf; any other
+    so any order of them gives the same vector) is a leaf; a node whose
+    partition is discrete is one without a scan of its cells, and a root
+    that is a leaf gives the key without entering the search.  Any other
     node individualizes each vertex of its first cell that is not one
     twin class in turn, as a singleton cell in front of the rest, and
     refines again.
@@ -355,10 +360,31 @@ def _canonical_search(order: int, edges) -> bytes:
                 e = end[c]
                 if e - c == 1:
                     continue
-                members = lab[c:e]
-                values = [count[w] for w in members]
-                if min(values) == max(values):
+                if e - c == 2:
+                    # the general split below, for two singletons: either
+                    # may stay out of the queue, so the second goes in
+                    a, b = lab[c], lab[c + 1]
+                    x, y = count[a], count[b]
+                    if x == y:
+                        continue
+                    if x > y:
+                        lab[c], lab[c + 1] = b, a
+                        a, b, x, y = b, a, y, x
+                    cell[b] = c + 1
+                    end[c] = c + 1
+                    end[c + 1] = e
+                    trace.append((c, x, c + 1, y, e))
+                    cells += 1
+                    queued[c + 1] = True
+                    queue.append(c + 1)
                     continue
+                members = lab[c:e]
+                x = count[members[0]]
+                for w in members:
+                    if count[w] != x:
+                        break
+                else:
+                    continue  # every member counts the same
                 members.sort(key=count.__getitem__)
                 lab[c:e] = members
                 event = [c]
@@ -401,20 +427,29 @@ def _canonical_search(order: int, edges) -> bytes:
             vector += pick(mult[lab[p]])[:p]
         return vector
 
+    def encode(vec):
+        """The key: the order, then the vector in decimal."""
+        try:
+            text = ",".join([_DIGITS[x] for x in vec])
+        except IndexError:  # a multiplicity of two digits or more
+            text = ",".join(map(str, vec))
+        return f"{n}|{text}".encode()
+
     # the root: cells of equal degree, highest degree first
     deg = [len(a) for a in adj]
     lab = sorted(range(n), key=deg.__getitem__, reverse=True)
     cell = [0] * n
     end = [0] * n
     starts = []
-    start = 0
-    for i in range(1, n + 1):
-        if i == n or deg[lab[i]] != deg[lab[start]]:
+    start, last = 0, deg[lab[0]]
+    for i, w in enumerate(lab):
+        if deg[w] != last:
             end[start] = i
             starts.append(start)
-            for w in lab[start:i]:
-                cell[w] = start
-            start = i
+            start, last = i, deg[w]
+        cell[w] = start
+    end[start] = n
+    starts.append(start)
     cells = len(starts)
     if cells > 1:
         # the degree partition is already equitable against the whole
@@ -423,6 +458,8 @@ def _canonical_search(order: int, edges) -> bytes:
         del starts[sizes.index(max(sizes))]
     trace: list = []
     cells = refine(lab, cell, end, starts, cells, trace)
+    if cells == n:
+        return encode(leaf_vector(lab))
 
     def twins(u, v):
         """Whether the rows of u and v agree outside the pair."""
@@ -436,14 +473,19 @@ def _canonical_search(order: int, edges) -> bytes:
         return same
 
     # twin classes, as the first member of each; twins share a cell of
-    # every equitable partition until one of them is individualized.  An
-    # adjacent twin is found among the neighbours, a non-adjacent one by
-    # an equal row.
+    # every equitable partition until one of them is individualized.  In
+    # a cell of two the pair is tested; in a larger cell an adjacent twin
+    # is found among the neighbours, a non-adjacent one by an equal row.
     twin = list(range(n))
     rows = {}
     for v in range(n):
         c = cell[v]
-        if end[c] - c > 1:
+        e = end[c]
+        if e - c == 2:
+            w = lab[c] if lab[c] != v else lab[c + 1]
+            if w < v and twins(v, w):
+                twin[v] = w
+        elif e - c > 2:
             for w in adj[v]:
                 if w < v and cell[w] == c and twins(v, w):
                     twin[v] = twin[w]
@@ -464,6 +506,8 @@ def _canonical_search(order: int, edges) -> bytes:
             c = e
         return -1
 
+    if target_cell(lab, end) < 0:
+        return encode(leaf_vector(lab))
     first = best = None  # (trace, vector, lab, individualized)
     autos = []  # automorphisms found, each as a list v -> image
     nodes = 0
@@ -480,7 +524,7 @@ def _canonical_search(order: int, edges) -> bytes:
             )
         if best is not None and trace > best[0][: len(trace)]:
             return n
-        c = target_cell(lab, end)
+        c = -1 if cells == n else target_cell(lab, end)
         if c < 0:
             vec = leaf_vector(lab)
             if best is None:
@@ -504,7 +548,6 @@ def _canonical_search(order: int, edges) -> bytes:
         e = end[c]
         members = lab[c:e]
         level = len(fixed)
-        root = list(range(n))
 
         def find(w):
             while root[w] != w:
@@ -519,9 +562,7 @@ def _canonical_search(order: int, edges) -> bytes:
                 # orbits of the cell under the twin swaps and the
                 # automorphisms found so far that fix `fixed`
                 known = len(autos)
-                lead = {}
-                for w in members:
-                    root[w] = lead.setdefault(twin[w], w)
+                root = twin[:]
                 for image in autos:
                     if all(image[x] == x for x in fixed):
                         for w in members:
@@ -565,7 +606,7 @@ def _canonical_search(order: int, edges) -> bytes:
     finally:
         # search holds itself through its cell: free the working set now
         del search
-    return f"{n}|{','.join(map(str, best[1]))}".encode()
+    return encode(best[1])
 
 
 @lru_cache(maxsize=65536)

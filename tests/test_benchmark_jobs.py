@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import graphsplice.graphs as graphs_module
 from graphsplice.cli import main
 
 JOBS_PY = Path(__file__).resolve().parent.parent / "perfbench" / "jobs.py"
@@ -30,6 +31,19 @@ jobs = _load_jobs()
 def test_benchmark_job_reproduces_its_pinned_output(job):
     summary = jobs.run(job, jobs.load(job))
     assert jobs.mismatches(summary, jobs.expected(job)) == []
+
+
+# canonical-form searches one closure runs from a cold cache, as every
+# benchmark job does: the work that a cheaper search multiplies.  ROADMAP
+# item 4 changes which layouts the closure keys, and with them these counts.
+LANG_SEARCHES = {"gap": 221, "split": 933, "triangle": 20, "edgeless": 8}
+
+
+@pytest.mark.parametrize("job", sorted(LANG_SEARCHES))
+def test_lang_job_runs_its_pinned_number_of_searches(job):
+    graphs_module._canon_cached.cache_clear()
+    jobs.run(job, jobs.load(job))
+    assert graphs_module._canon_cached.cache_info().misses == LANG_SEARCHES[job]
 
 
 # sha256 of `graphsplice lang jobs/<job>.plfs` stdout.  The expected

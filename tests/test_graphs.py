@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import inspect
 import random
 import sys
@@ -407,25 +408,75 @@ def test_isomorphic_graphs_share_canonical_form(g):
         assert canonical_form(h) == canonical_form(g)
 
 
-def _search_matches_reference(graphs):
+def _keys(graphs):
+    return [graphs_module._canonical_search(g.order, g.edges) for g in graphs]
+
+
+def _search_matches_reference(graphs, keys):
     """Two of the graphs get equal keys exactly when the reference search
     gives them equal keys: the two encodings differ, their partitions
     into classes do not."""
     to_reference = {}
     to_search = {}
-    for g in graphs:
-        key = graphs_module._canonical_search(g.order, g.edges)
+    for g, key in zip(graphs, keys, strict=True):
         reference = reference_canonical(g.order, g.edges)
         assert to_reference.setdefault(key, reference) == reference, g
         assert to_search.setdefault(reference, key) == key, g
     return len(to_search)
 
 
-def test_search_matches_reference_on_all_simple_graphs():
+@pytest.fixture(scope="module")
+def simple_graphs_and_keys():
+    """Every simple graph of order 0 to 6 in enumeration order, with its
+    search key."""
     graphs = [g for n in range(7) for g in enumerate_simple_graphs(n)]
+    return graphs, _keys(graphs)
+
+
+def test_search_matches_reference_on_all_simple_graphs(simple_graphs_and_keys):
+    graphs, keys = simple_graphs_and_keys
     assert len(graphs) == 33868
     # the isomorphism classes of simple graphs of order 0 to 6
-    assert _search_matches_reference(graphs) == 1 + 1 + 2 + 4 + 11 + 34 + 156
+    assert _search_matches_reference(graphs, keys) == 1 + 1 + 2 + 4 + 11 + 34 + 156
+
+
+def _seeded_multigraphs():
+    """3,000 multigraphs of order 2 to 10 with up to 20 edges, and 300 of
+    order 2 to 4 with 10 to 40 edges, whose multiplicities reach two
+    digits; each comes in its drawn layout and in a shuffled one."""
+    rng = random.Random(2014)
+    graphs = []
+    for count, orders, sizes in ((3000, (2, 10), (0, 20)), (300, (2, 4), (10, 40))):
+        for _ in range(count):
+            n = rng.randint(*orders)
+            pairs = list(combinations(range(1, n + 1), 2))
+            edges = [rng.choice(pairs) for _ in range(rng.randint(*sizes))]
+            layout = list(range(1, n + 1))
+            rng.shuffle(layout)
+            graphs.append(PlfGraph(n, tuple(edges)))
+            graphs.append(PlfGraph(
+                n, tuple((layout[u - 1], layout[v - 1]) for u, v in edges)))
+    return graphs
+
+
+# sha256 of the search keys joined by newlines.  The reference tests above
+# compare partitions into classes, so they pass a search whose keys are
+# relabeled consistently; these pin the key bytes themselves, which the
+# closure's output and every stored key depend on.  Neither digest
+# depends on the Python version (3.10 to 3.13 checked) or PYTHONHASHSEED.
+SIMPLE_KEYS_SHA256 = "a415f529d3ce8bafcf37857c9349f55162a2324d499301cc5593342db7d5cda6"
+MULTIGRAPH_KEYS_SHA256 = "d24ab952af3a36c996c79598fdc7afa5d6f224ed85dc3df5cb8e296b6acd2552"
+
+
+def test_search_key_bytes_are_pinned_on_all_simple_graphs(simple_graphs_and_keys):
+    _, keys = simple_graphs_and_keys
+    assert hashlib.sha256(b"\n".join(keys)).hexdigest() == SIMPLE_KEYS_SHA256
+
+
+def test_search_key_bytes_are_pinned_on_seeded_multigraphs():
+    keys = _keys(_seeded_multigraphs())
+    assert len(keys) == 6600
+    assert hashlib.sha256(b"\n".join(keys)).hexdigest() == MULTIGRAPH_KEYS_SHA256
 
 
 @settings(max_examples=150, deadline=None)
@@ -435,7 +486,8 @@ def test_search_matches_reference_on_all_simple_graphs():
 def test_search_matches_reference_on_multigraphs(g, h, rng):
     layout = list(range(1, g.order + 1))
     rng.shuffle(layout)
-    _search_matches_reference([g, relabel(g, tuple(layout)), h])
+    graphs = [g, relabel(g, tuple(layout)), h]
+    _search_matches_reference(graphs, _keys(graphs))
 
 
 def _disjoint_union(*parts):
@@ -496,7 +548,7 @@ def test_search_matches_reference_on_symmetric_families():
     family.append(two_k4)
     # K4; K_{3,3} and the prism; the five connected cubic graphs of order 8
     assert {n: len(keys) for n, keys in cubic_classes.items()} == {4: 1, 6: 2, 8: 5}
-    _search_matches_reference(family)
+    _search_matches_reference(family, _keys(family))
 
 
 def _torus_graph(steps):
