@@ -13,7 +13,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import permutations
-from math import factorial
 
 from . import splicing
 from .cutting import CuttingRule, cut, power_by_formula, valid_rules
@@ -208,7 +207,7 @@ def check_splice_theorems(max_order: int = 5, max_power: int = 3) -> list[Theore
         reflexive = not unsplit
         combos += sum(pre.count for pre in pres) ** 2
         bijections = list(permutations(range(m)))
-        want = factorial(m)
+        want = len(bijections)
         # per suffix group: halves, cut position, order, and the source
         # degrees of the cut position and of the positions after it; the
         # degrees are those of every member, since a fragment fixes them

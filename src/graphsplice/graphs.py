@@ -289,8 +289,8 @@ def _canonical_search(order: int, edges) -> bytes:
     of increasing count.  A node whose non-singleton cells are each one
     twin class (vertices whose multiplicity rows agree outside the pair,
     so any order of them gives the same vector) is a leaf; a node whose
-    partition is discrete is one without a scan of its cells, and a root
-    that is a leaf gives the key without entering the search.  Any other
+    partition is discrete is one without a scan of its cells, and only a
+    discrete root gives the key without entering the search.  Any other
     node individualizes each vertex of its first cell that is not one
     twin class in turn, as a singleton cell in front of the rest, and
     refines again.
@@ -303,10 +303,10 @@ def _canonical_search(order: int, edges) -> bytes:
 
     - One child per twin class: swapping two twins is an automorphism.
     - One child per orbit of the automorphisms found so far that fix the
-      node's individualized vertices.  A leaf equal to the first or the
-      best leaf gives such an automorphism, which maps the subtree the
-      earlier leaf lies in onto the new leaf's, so the search returns
-      to the two leaves' deepest common ancestor at once.
+      node's individualized vertices.  A leaf equal to the best leaf
+      gives such an automorphism, which maps the subtree the best leaf
+      lies in onto the new leaf's, so the search returns to the two
+      leaves' deepest common ancestor at once.
     - A node whose trace exceeds the best leaf's trace is dropped: every
       leaf below it has a larger trace.
 
@@ -465,27 +465,20 @@ def _canonical_search(order: int, edges) -> bytes:
         """Whether the rows of u and v agree outside the pair."""
         row_u, row_v = mult[u], mult[v]
         m = row_u[v]
-        if not m:
-            return row_u == row_v
         row_u[u] = row_v[v] = m
         same = row_u == row_v
         row_u[u] = row_v[v] = 0
         return same
 
     # twin classes, as the first member of each; twins share a cell of
-    # every equitable partition until one of them is individualized.  In
-    # a cell of two the pair is tested; in a larger cell an adjacent twin
-    # is found among the neighbours, a non-adjacent one by an equal row.
+    # every equitable partition until one of them is individualized.  An
+    # adjacent twin is found among the neighbours, a non-adjacent one by
+    # an equal row.
     twin = list(range(n))
     rows = {}
     for v in range(n):
         c = cell[v]
-        e = end[c]
-        if e - c == 2:
-            w = lab[c] if lab[c] != v else lab[c + 1]
-            if w < v and twins(v, w):
-                twin[v] = w
-        elif e - c > 2:
+        if end[c] - c > 1:
             for w in adj[v]:
                 if w < v and cell[w] == c and twins(v, w):
                     twin[v] = twin[w]
@@ -506,16 +499,14 @@ def _canonical_search(order: int, edges) -> bytes:
             c = e
         return -1
 
-    if target_cell(lab, end) < 0:
-        return encode(leaf_vector(lab))
-    first = best = None  # (trace, vector, lab, individualized)
+    best = None  # (trace, vector, lab, individualized)
     autos = []  # automorphisms found, each as a list v -> image
     nodes = 0
 
     def search(lab, cell, end, cells, trace, fixed):
         """Explore the node; return the depth to unwind to, n when
         the search goes on with this node's parent."""
-        nonlocal first, best, nodes
+        nonlocal best, nodes
         nodes += 1
         if nodes > CANON_NODE_BUDGET:
             raise CapExceededError(
@@ -528,20 +519,19 @@ def _canonical_search(order: int, edges) -> bytes:
         if c < 0:
             vec = leaf_vector(lab)
             if best is None:
-                first = best = (trace, vec, lab, fixed)
+                best = (trace, vec, lab, fixed)
                 return n
-            for seen in (first, best):
-                if seen[0] == trace and seen[1] == vec:
-                    image = list(range(n))
-                    for v, w in zip(seen[2], lab):
-                        image[v] = w
-                    autos.append(image)
-                    depth = 0
-                    for a, b in zip(seen[3], fixed):
-                        if a != b:
-                            break
-                        depth += 1
-                    return depth
+            if best[0] == trace and best[1] == vec:
+                image = list(range(n))
+                for v, w in zip(best[2], lab):
+                    image[v] = w
+                autos.append(image)
+                depth = 0
+                for a, b in zip(best[3], fixed):
+                    if a != b:
+                        break
+                    depth += 1
+                return depth
             if (trace, vec) < best[:2]:
                 best = (trace, vec, lab, fixed)
             return n

@@ -108,18 +108,6 @@ class LanguageResult:
         return len(self.classes)
 
 
-def _filed_since(groups: dict, old: int) -> list:
-    """The (fragment, group) entries of one side of a fragment index
-    whose fragment was first filed at row old or later.  Groups keep
-    filing order, so these are the last entries, found from the end."""
-    fresh = []
-    for item in reversed(groups.items()):
-        if item[1].row < old:
-            break
-        fresh.append(item)
-    return fresh
-
-
 class _Splicer:
     """The fragment index of one closure run.
 
@@ -148,9 +136,10 @@ class _Splicer:
         """Splice the ordered pairs of rows that are not both below old,
         the number of rows at the previous step (0 at the first).
 
-        Joins the (prefix, suffix) pairs of each rule, direction and shape
-        in which a fragment was first filed at row old or later;
-        earlier steps joined every other pair.  Returns {key: first
+        The semi-naive rule is one test: a (prefix, suffix) pair of a
+        rule, direction and shape is joined when either fragment was
+        first filed at row old or later; earlier steps joined every
+        other pair.  Returns {key: first
         product found} over those joins, the number of logical products
         of all ordered pairs of rows (2(m!) per pair and rule whose cuts
         weld) and the number of products built.
@@ -180,12 +169,12 @@ class _Splicer:
                 # row's suffix, direction 2 the second's prefix to the first's
                 for d, prefixes, suffixes in ((1, first_pres, second_sufs),
                                               (2, second_pres, first_sufs)):
-                    fresh = _filed_since(suffixes, old)
                     for prefix, pre in prefixes.items():
                         prow = pre.row
-                        for suffix, suf in (suffixes.items() if prow >= old
-                                            else fresh):
+                        for suffix, suf in suffixes.items():
                             srow = suf.row
+                            if prow < old and srow < old:
+                                continue  # an earlier step joined the pair
                             cell = (prow, srow, r, d) if d == 1 else (srow, prow, r, d)
                             seen = first_cell.get((prefix, suffix))
                             if seen is None or cell < seen:

@@ -375,7 +375,16 @@ def distinct_pairs(res, system, config):
      LanguageConfig(max_iterations=6, max_order=8), (341, 1382)),
     (SplicingSystem(GAP_AXIOMS, SPLIT_RULES),
      LanguageConfig(max_iterations=3, max_order=6), (1963, 5060)),
-], ids=["gap", "split", "gap-bench", "split-bench"])
+    # the perfbench triangle system, whose 10 iterations skip old pairs
+    # at more steps than any run above, and the edgeless system, whose
+    # power-0 fragment pairs each give one product
+    (SplicingSystem((cycle(3),), (RUNNING_RULE,)),
+     LanguageConfig(max_iterations=20, max_order=11), (19, 38)),
+    (SplicingSystem((PlfGraph(4, ()),),
+                    (make_rule((2, 3), (1, 2)), make_rule((3, 4), (1, 2)))),
+     LanguageConfig(max_iterations=4, max_order=7), (21, 21)),
+], ids=["gap", "split", "gap-bench", "split-bench", "triangle-bench",
+        "edgeless-bench"])
 def test_each_fragment_pair_is_joined_once(monkeypatch, system, config, expected):
     calls = []
     products = []
