@@ -165,6 +165,17 @@ def _halves(g: PlfGraph, i: int, reflexive: bool):
     return left, right, left_ends, right_ends
 
 
+def _degrees(n: int, edges, ends) -> list[int]:
+    """Degrees of positions 0..n (0 unused) over edges and loose ends."""
+    deg = [0] * (n + 1)
+    for u, v in edges:
+        deg[u] += 1
+        deg[v] += 1
+    for a in ends:
+        deg[a] += 1
+    return deg
+
+
 def check_splice_theorems(max_order: int = 5, max_power: int = 3) -> list[TheoremReport]:
     """Product-law sweep: the product-count, reversal, degree-preservation
     and order-bound reports, in that order.
@@ -188,6 +199,12 @@ def check_splice_theorems(max_order: int = 5, max_power: int = 3) -> list[Theore
     [n,n] and [1,1] always have power 0, so every ordered pair has that
     combo, and its join has order |g|+|h|-1; one join per pair of
     operand orders checks it.
+
+    The degree law is checked once per fragment group, each side's
+    degrees from _halves against its share of degree_profile; a product
+    equal to its rebuild carries that result, and the pair's order and
+    size, by reversal.  From a pair's first reversal failure on, or for a
+    pair whose group check failed, each product's degrees are counted.
     """
     corpus = list(graphs_up_to(max_order, cap=PAIR_SWEEP_CAP))
     combos = products = oversize = 0
@@ -208,15 +225,18 @@ def check_splice_theorems(max_order: int = 5, max_power: int = 3) -> list[Theore
         combos += sum(pre.count for pre in pres) ** 2
         bijections = list(permutations(range(m)))
         want = len(bijections)
-        # per suffix group: halves, cut position, order, and the source
-        # degrees of the cut position and of the positions after it; the
-        # degrees are those of every member, since a fragment fixes them
+        # per suffix group: halves, cut position, order, the source
+        # degrees of the cut position and of the positions after it (those
+        # of every member, since a fragment fixes them), its group check
         suffix_parts = []
         for suf in sufs:
             gb, ib = suf.rep.graph, suf.rep.rule.i
             prof = degree_profile(gb)
-            suffix_parts.append((suf, _halves(gb, ib, reflexive), ib, gb.order,
-                                 prof.right[ib - 1], list(prof.total[ib:])))
+            halves = _halves(gb, ib, reflexive)
+            rd, tail = prof.right[ib - 1], list(prof.total[ib:])
+            suffix_parts.append((suf, halves, ib, gb.order, rd, tail,
+                                 _degrees(gb.order, halves[1], halves[3]) ==
+                                 [0] * (ib + 1 - reflexive) + [rd] * reflexive + tail))
         by_position: dict = {}
         for pre in pres:
             by_position.setdefault(pre.rep.rule.i, []).append(pre)
@@ -228,12 +248,12 @@ def check_splice_theorems(max_order: int = 5, max_power: int = 3) -> list[Theore
             # after ia + 1 - reflexive, so sorted(kept + welds) followed by
             # the sorted suffix edges is sorted(kept + welds + suffix).
             shifted = []
-            for suf, (_, right, _, right_ends), ib, nb, rd, tail in suffix_parts:
+            for suf, (_, right, _, right_ends), ib, nb, rd, tail, suf_ok in suffix_parts:
                 shift = ia - ib
                 shifted.append((suf, nb, nb + shift, rd, tail,
                                 tuple(sorted([(u + shift, v + shift)
                                               for u, v in right])),
-                                [a + shift for a in right_ends]))
+                                [a + shift for a in right_ends], suf_ok))
             for pre in group:
                 ca = pre.rep
                 kept, _, left_ends, _ = _halves(ca.graph, ia, reflexive)
@@ -242,14 +262,16 @@ def check_splice_theorems(max_order: int = 5, max_power: int = 3) -> list[Theore
                 # a half-vertex merges ld(i) of the prefix with rd(j) of the suffix
                 head = list(prof.total[:ia - reflexive])
                 half = prof.left[ia - 1]
+                pre_ok = _degrees(ia, kept, left_ends)[1:] == head + [half] * reflexive
                 na_min = min(pre.orders)
-                for suf, nb, order, rd, tail, suffix_edges, ends in shifted:
+                for suf, nb, order, rd, tail, suffix_edges, ends, suf_ok in shifted:
                     pairs = pre.count * suf.count
                     built = splicing.join(ca.prefix, suf.rep.suffix)
                     products += 2 * pairs * len(built)
                     if len(built) != want:
                         flag("count", pairs, pre, suf,
                              f"got {len(built)} products, expected {want}")
+                    same = 0  # built[:same] equal their rebuilds
                     for r, p in zip(bijections, built):
                         edges = (tuple(sorted(kept + [(left_ends[t], ends[r[t]])
                                                       for t in range(m)]))
@@ -258,27 +280,31 @@ def check_splice_theorems(max_order: int = 5, max_power: int = 3) -> list[Theore
                             flag("reversal", pairs, pre, suf,
                                  f"bijection {r} joined to {p}")
                             break
-                    expected = [*head, half + rd, *tail] if reflexive else head + tail
+                        same += 1
+                    start = same if pre_ok and suf_ok else 0
+                    sizes = [(order, len(kept) + m + len(suffix_edges), start)]
+                    if start < len(built):
+                        expected = ([*head, half + rd, *tail] if reflexive
+                                    else head + tail)
+                        for p in built[start:]:
+                            deg = _degrees(p.order, p.edges, ())
+                            if deg[1:] != expected:
+                                flag("degree", 2 * pairs, pre, suf,
+                                     f"degrees {tuple(deg[1:])}, "
+                                     f"expected {tuple(expected)}")
+                            sizes.append((p.order, len(p.edges), 1))
                     low = na_min + nb - 1  # the smallest bound of any source order
-                    for p in built:
-                        deg = [0] * (p.order + 1)
-                        for u, v in p.edges:
-                            deg[u] += 1
-                            deg[v] += 1
-                        if deg[1:] != expected:
-                            flag("degree", 2 * pairs, pre, suf,
-                                 f"degrees {tuple(deg[1:])}, "
-                                 f"expected {tuple(expected)}")
-                        size = len(p.edges)
-                        if p.order <= low and size <= low:
+                    for p_order, size, times in sizes:
+                        if not times or p_order <= low and size <= low:
                             continue
                         for na, k in pre.orders.items():
                             bound = na + nb - 1
-                            if p.order > bound:
-                                flag("bound", 2 * k * suf.count, pre, suf,
-                                     f"order {p.order} exceeds {bound}")
+                            weight = 2 * k * suf.count * times
+                            if p_order > bound:
+                                flag("bound", weight, pre, suf,
+                                     f"order {p_order} exceeds {bound}")
                             if size > bound:
-                                oversize += 2 * k * suf.count
+                                oversize += weight
 
     by_order = Counter(g.order for g in corpus)
     first = {}

@@ -216,18 +216,37 @@ def _splice_all(g, h, max_power=None):
                 continue
 
 
+def source_degrees(g: PlfGraph, h: PlfGraph, s: SplicingRule):
+    """The degrees a Prefix(g)+Suffix(h) product keeps under s, read off
+    g and h: g's positions before the cut, then h's after it; a split
+    vertex merges g's left degree with h's right degree."""
+    i, j = s.first.i, s.second.j
+    if not s.first.reflexive:
+        return ([g.degree(v) for v in range(1, i + 1)]
+                + [h.degree(v) for v in range(j, h.order + 1)])
+    return ([g.degree(v) for v in range(1, i)]
+            + [g.left_degree(i) + h.right_degree(j)]
+            + [h.degree(v) for v in range(j + 1, h.order + 1)])
+
+
 def pairwise_law_sweep(graphs, max_power):
-    """(combos, products, oversize) over every ordered pair of graphs:
-    one combo per applicable rule pair, every product counted, and the
-    products with more edges than order(g)+order(h)-1 tallied."""
-    combos = products = oversize = 0
+    """(combos, products, oversize, degree violations) over every
+    ordered pair of graphs: one combo per applicable rule pair, every
+    product counted, the products with more edges than
+    order(g)+order(h)-1 tallied, and so are those whose degrees differ
+    from source_degrees."""
+    combos = products = oversize = degrees = 0
     for g in graphs:
         for h in graphs:
             for prods in _splice_all(g, h, max_power):
                 combos += 1
                 products += len(prods)
                 oversize += sum(p.graph.size > g.order + h.order - 1 for p in prods)
-    return combos, products, oversize
+                for p in prods:
+                    got = [p.graph.degree(v) for v in range(1, p.graph.order + 1)]
+                    degrees += got != (source_degrees(g, h, p.rule) if p.direction == 1
+                                       else source_degrees(h, g, swapped(p.rule)))
+    return combos, products, oversize, degrees
 
 
 def pairwise_iso_sweep(graphs):

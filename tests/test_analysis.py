@@ -81,9 +81,11 @@ def test_splice_law_sweep_small():
 def test_splice_law_sweep_matches_the_pairwise_oracle():
     reports = {r.check_id: r for r in check_splice_theorems(3, 3)}
     bound = reports["order-bound"].extras
-    combos, products, oversize = pairwise_law_sweep(list(graphs_up_to(3)), 3)
+    combos, products, oversize, degrees = pairwise_law_sweep(list(graphs_up_to(3)), 3)
     assert (bound["combos"], bound["products_built"],
             bound["oversize_edge_counts"]) == (combos, products, oversize)
+    assert degrees == 0
+    assert "violations_total" not in reports["degree-preservation"].extras
 
 
 def test_splice_law_sweep_order4_counts():
@@ -94,6 +96,22 @@ def test_splice_law_sweep_order4_counts():
     assert reports["product-count"].instances_checked == 52627
     assert bound.instances_checked == 129094
     assert bound.extras["oversize_edge_counts"] == 2066
+
+
+def _totals(reports):
+    return {r.check_id: r.extras.get("violations_total", 0) for r in reports}
+
+
+def _lossy(prefix, suffix, join=splicing.join):
+    return [PlfGraph(p.order, p.edges[:-1]) for p in join(prefix, suffix)]
+
+
+def _last_lossy(prefix, suffix, join=splicing.join):
+    # only the last product of each pair loses an edge, so the products
+    # before it pass reversal and the per-product degree count starts
+    # partway through the pair
+    *rest, p = join(prefix, suffix)
+    return [*rest, PlfGraph(p.order, p.edges[:-1])]
 
 
 def test_reversal_check_catches_a_misrouted_join(monkeypatch):
@@ -109,6 +127,7 @@ def test_reversal_check_catches_a_misrouted_join(monkeypatch):
     reports = {r.check_id: r for r in check_splice_theorems(3, 3)}
     assert reports["reversal"].status == "violated"
     assert reports["degree-preservation"].status == "verified"
+    assert _totals(reports.values())["reversal"] == 4
 
 
 def test_reversal_check_catches_a_join_with_unsorted_edges(monkeypatch):
@@ -124,17 +143,40 @@ def test_reversal_check_catches_a_join_with_unsorted_edges(monkeypatch):
     reports = {r.check_id: r for r in check_splice_theorems(3, 3)}
     assert reports["reversal"].status == "violated"
     assert reports["degree-preservation"].status == "verified"
+    assert _totals(reports.values())["reversal"] == 277
+
+
+def _check_drop(monkeypatch, mutation, reversal, degree):
+    # an edgeless product loses nothing, so fewer than all 1,558 products
+    # change their degrees; the sigma_pair oracle counts the same ones
+    monkeypatch.setattr(splicing, "join", mutation)
+    totals = _totals(check_splice_theorems(3, 3))
+    assert totals == {"product-count": 0, "reversal": reversal,
+                      "degree-preservation": degree, "order-bound": 0}
+    assert pairwise_law_sweep(list(graphs_up_to(3)), 3)[3] == degree
 
 
 def test_degree_check_catches_a_join_that_drops_an_edge(monkeypatch):
-    join = splicing.join
+    _check_drop(monkeypatch, _lossy, 522, 1076)
 
-    def lossy(prefix, suffix):
-        return [PlfGraph(p.order, p.edges[:-1]) for p in join(prefix, suffix)]
 
-    monkeypatch.setattr(splicing, "join", lossy)
-    reports = {r.check_id: r for r in check_splice_theorems(3, 3)}
-    assert reports["degree-preservation"].status == "violated"
+def test_degree_check_catches_a_drop_from_the_last_product_only(monkeypatch):
+    _check_drop(monkeypatch, _last_lossy, 522, 1044)
+
+
+def test_degree_check_reads_the_source_profile(monkeypatch):
+    # the products are right and only the expected degrees are off, so
+    # every product fails the degree law while reversal still holds
+    real = analysis.degree_profile
+
+    def high(g):
+        prof = real(g)
+        return DegreeProfile((prof.left[0] + 1, *prof.left[1:]), prof.right)
+
+    monkeypatch.setattr(analysis, "degree_profile", high)
+    totals = _totals(check_splice_theorems(3, 3))
+    assert totals == {"product-count": 0, "reversal": 0,
+                      "degree-preservation": 1558, "order-bound": 0}
 
 
 def test_order_bound_check_catches_a_join_that_adds_a_vertex(monkeypatch):
@@ -146,6 +188,9 @@ def test_order_bound_check_catches_a_join_that_adds_a_vertex(monkeypatch):
     monkeypatch.setattr(splicing, "join", padded)
     reports = {r.check_id: r for r in check_splice_theorems(3, 3)}
     assert reports["order-bound"].status == "violated"
+    assert _totals(reports.values()) == {
+        "product-count": 0, "reversal": 763, "degree-preservation": 1558,
+        "order-bound": 363}
 
 
 def test_splice_law_sweep_reports_only_its_laws():

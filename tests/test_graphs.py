@@ -254,7 +254,12 @@ def test_canonical_form_invariant_under_relabeling():
         assert canonical_form(h) == base
 
 
-def test_canonical_form_takes_any_order():
+def test_canonical_form_takes_any_order(monkeypatch):
+    # a budget well above the most nodes measured here (P11 3, edgeless 1,
+    # C400 6 in either layout, C200+C200 at most 20), so a pruning
+    # regression fails instead of running on
+    graphs_module._canon_cached.cache_clear()
+    monkeypatch.setattr(graphs_module, "CANON_NODE_BUDGET", 64)
     p11 = path(11)
     assert canonical_form(p11) == canonical_form(relabel(p11, tuple(range(11, 0, -1))))
     # the reference would try all 20! layouts of the edgeless graph, whose
