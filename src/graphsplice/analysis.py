@@ -24,6 +24,7 @@ from .graphs import (
     complete,
     cycle,
     degree_profile,
+    degrees,
     enumerate_simple_graphs,
     has_cycle,
     is_bipartite,
@@ -165,17 +166,6 @@ def _halves(g: PlfGraph, i: int, reflexive: bool):
     return left, right, left_ends, right_ends
 
 
-def _degrees(n: int, edges, ends) -> list[int]:
-    """Degrees of positions 0..n (0 unused) over edges and loose ends."""
-    deg = [0] * (n + 1)
-    for u, v in edges:
-        deg[u] += 1
-        deg[v] += 1
-    for a in ends:
-        deg[a] += 1
-    return deg
-
-
 def check_splice_theorems(max_order: int = 5, max_power: int = 3) -> list[TheoremReport]:
     """Product-law sweep: the product-count, reversal, degree-preservation
     and order-bound reports, in that order.
@@ -222,7 +212,7 @@ def check_splice_theorems(max_order: int = 5, max_power: int = 3) -> list[Theore
 
     for (m, unsplit), (pres, sufs) in _cut_groups(corpus, max_power).items():
         reflexive = not unsplit
-        combos += sum(pre.count for pre in pres) ** 2
+        combos += sum(len(pre.rows) for pre in pres) ** 2
         bijections = list(permutations(range(m)))
         want = len(bijections)
         # per suffix group: halves, cut position, order, the source
@@ -235,7 +225,7 @@ def check_splice_theorems(max_order: int = 5, max_power: int = 3) -> list[Theore
             halves = _halves(gb, ib, reflexive)
             rd, tail = prof.right[ib - 1], list(prof.total[ib:])
             suffix_parts.append((suf, halves, ib, gb.order, rd, tail,
-                                 _degrees(gb.order, halves[1], halves[3]) ==
+                                 degrees(gb.order, halves[1], halves[3]) ==
                                  [0] * (ib + 1 - reflexive) + [rd] * reflexive + tail))
         by_position: dict = {}
         for pre in pres:
@@ -262,10 +252,13 @@ def check_splice_theorems(max_order: int = 5, max_power: int = 3) -> list[Theore
                 # a half-vertex merges ld(i) of the prefix with rd(j) of the suffix
                 head = list(prof.total[:ia - reflexive])
                 half = prof.left[ia - 1]
-                pre_ok = _degrees(ia, kept, left_ends)[1:] == head + [half] * reflexive
-                na_min = min(pre.orders)
+                pre_ok = degrees(ia, kept, left_ends)[1:] == head + [half] * reflexive
+                npre = len(pre.rows)
+                # the group's source orders, for the order bound
+                orders = Counter(corpus[r].order for r in pre.rows)
+                na_min = min(orders)
                 for suf, nb, order, rd, tail, suffix_edges, ends, suf_ok in shifted:
-                    pairs = pre.count * suf.count
+                    pairs = npre * len(suf.rows)
                     built = splicing.join(ca.prefix, suf.rep.suffix)
                     products += 2 * pairs * len(built)
                     if len(built) != want:
@@ -287,7 +280,7 @@ def check_splice_theorems(max_order: int = 5, max_power: int = 3) -> list[Theore
                         expected = ([*head, half + rd, *tail] if reflexive
                                     else head + tail)
                         for p in built[start:]:
-                            deg = _degrees(p.order, p.edges, ())
+                            deg = degrees(p.order, p.edges)
                             if deg[1:] != expected:
                                 flag("degree", 2 * pairs, pre, suf,
                                      f"degrees {tuple(deg[1:])}, "
@@ -297,9 +290,9 @@ def check_splice_theorems(max_order: int = 5, max_power: int = 3) -> list[Theore
                     for p_order, size, times in sizes:
                         if not times or p_order <= low and size <= low:
                             continue
-                        for na, k in pre.orders.items():
+                        for na, k in orders.items():
                             bound = na + nb - 1
-                            weight = 2 * k * suf.count * times
+                            weight = 2 * k * len(suf.rows) * times
                             if p_order > bound:
                                 flag("bound", weight, pre, suf,
                                      f"order {p_order} exceeds {bound}")
@@ -534,7 +527,7 @@ def check_iso_splice(max_order: int = 5) -> TheoremReport:
                 ca = pre.rep
                 for suf in sufs:
                     cb = suf.rep
-                    weight = 2 * pre.count * suf.count
+                    weight = 2 * len(pre.rows) * len(suf.rows)
                     for p in splicing.join(ca.prefix, cb.suffix):
                         instances += weight
                         if p.order != n:

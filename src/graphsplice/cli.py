@@ -56,13 +56,11 @@ def _load_graph(path_arg: str) -> PlfGraph:
 
 
 def _parse_cut_arg(token: str) -> CuttingRule:
-    parts = token.split(",")
-    if len(parts) != 2:
-        raise GraphSpliceError(f"--rule expects I,J, got {token!r}")
+    """A --rule token is a usage error, not a file's parse error."""
     try:
-        return CuttingRule(int(parts[0]), int(parts[1]))
-    except ValueError:
-        raise GraphSpliceError(f"--rule positions must be integers: {token!r}") from None
+        return formats.parse_cut(token)
+    except ParseError as exc:
+        raise GraphSpliceError(f"--rule: {exc}") from None
 
 
 def _parse_splice_arg(token: str) -> SplicingRule:

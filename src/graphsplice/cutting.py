@@ -142,18 +142,17 @@ def cut(g: PlfGraph, rule) -> CutResult:
     rule.check_valid_for(g)
     i = rule.i
     reflexive = rule.reflexive
+    # an edge (u, v) with v > i is severed when u <= last: a gap rule
+    # severs the edges over gap i|i+1, a splitting rule those over i
+    last = i - reflexive
     pre_intact: list[Edge] = []
     suf_intact: list[Edge] = []
     severed: list[Edge] = []
     for u, v in g.edges:
-        if reflexive:
-            crossing = u < i < v
-        else:
-            crossing = u <= i < v
-        if crossing:
-            severed.append((u, v))
-        elif v <= i:
+        if v <= i:
             pre_intact.append((u, v))
+        elif u <= last:
+            severed.append((u, v))
         else:
             suf_intact.append((u, v))
     half = i if reflexive else None

@@ -11,7 +11,7 @@ from __future__ import annotations
 from .cutting import CuttingRule
 from .errors import GraphSpliceError, ParseError
 from .graphs import PlfGraph
-from .language import LanguageConfig, SplicingSystem
+from .language import LanguageConfig, SplicingSystem, check_axiom
 from .splicing import SplicingRule
 
 GRAPH_MAGIC = "plfg 1"
@@ -26,7 +26,17 @@ def _directives(text: str):
             yield num, line
 
 
-def _int(token: str, num: int, what: str) -> int:
+def _body(text: str, magic: str) -> list:
+    """The directives after the first one, the header, which must read
+    magic."""
+    directives = list(_directives(text))
+    if not directives or directives[0][1] != magic:
+        num = directives[0][0] if directives else 1
+        raise ParseError(f"expected '{magic}' header", num)
+    return directives[1:]
+
+
+def _int(token: str, num: int | None, what: str) -> int:
     try:
         return int(token)
     except ValueError:
@@ -34,13 +44,9 @@ def _int(token: str, num: int, what: str) -> int:
 
 
 def parse_graph(text: str) -> PlfGraph:
-    directives = list(_directives(text))
-    if not directives or directives[0][1] != GRAPH_MAGIC:
-        num = directives[0][0] if directives else 1
-        raise ParseError(f"expected '{GRAPH_MAGIC}' header", num)
     order: int | None = None
     edges: list[tuple[int, int]] = []
-    for num, line in directives[1:]:
+    for num, line in _body(text, GRAPH_MAGIC):
         fields = line.split()
         if fields[0] == "order" and len(fields) == 2:
             if order is not None:
@@ -76,7 +82,9 @@ def write_graph(g: PlfGraph, comment: str | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_cut(token: str, num: int) -> CuttingRule:
+def parse_cut(token: str, num: int | None = None) -> CuttingRule:
+    """A cutting rule from its I,J token; num is the token's line in a
+    file, None for a token from elsewhere."""
     parts = token.split(",")
     if len(parts) != 2:
         raise ParseError(f"cutting rule must be I,J, got {token!r}", num)
@@ -94,15 +102,16 @@ def parse_system(text: str) -> tuple[SplicingSystem, LanguageConfig]:
     (the edge list may be empty).  Rule lines pair two cutting rules:
     `rule I,J : K,L`.  `max-iterations N` and `max-order N` may each
     appear at most once.
+
+    A ParseError carries the line of the directive at fault, also for an
+    axiom that is not simple and for a cap below its least value.  The
+    errors of the system as a whole carry line None: no axiom, no rule,
+    or a max-order below the largest axiom's order.
     """
-    directives = list(_directives(text))
-    if not directives or directives[0][1] != SYSTEM_MAGIC:
-        num = directives[0][0] if directives else 1
-        raise ParseError(f"expected '{SYSTEM_MAGIC}' header", num)
     axioms: list[PlfGraph] = []
     rules: list[SplicingRule] = []
     caps: dict[str, int] = {}  # LanguageConfig fields the file sets
-    for num, line in directives[1:]:
+    for num, line in _body(text, SYSTEM_MAGIC):
         fields = line.split()
         if fields[0] == "axiom":
             if len(fields) < 3 or fields[2] != ":":
@@ -118,19 +127,25 @@ def parse_system(text: str) -> tuple[SplicingSystem, LanguageConfig]:
                 edges.append((_int(ends[0], num, "endpoint"),
                               _int(ends[1], num, "endpoint")))
             try:
-                axioms.append(PlfGraph(order, tuple(edges)))
+                g = PlfGraph(order, tuple(edges))
+                check_axiom(g)
             except GraphSpliceError as exc:
                 raise ParseError(str(exc), num) from None
+            axioms.append(g)
         elif fields[0] == "rule":
             if len(fields) != 4 or fields[2] != ":":
                 raise ParseError("rule line must be 'rule I,J : K,L'", num)
-            rules.append(SplicingRule(_parse_cut(fields[1], num),
-                                      _parse_cut(fields[3], num)))
+            rules.append(SplicingRule(parse_cut(fields[1], num),
+                                      parse_cut(fields[3], num)))
         elif fields[0] in ("max-iterations", "max-order") and len(fields) == 2:
             name = fields[0].replace("-", "_")
             if name in caps:
                 raise ParseError(f"duplicate {fields[0]} directive", num)
             caps[name] = _int(fields[1], num, fields[0])
+            try:
+                LanguageConfig(**{name: caps[name]})
+            except GraphSpliceError as exc:
+                raise ParseError(str(exc), num) from None
         else:
             raise ParseError(f"unknown directive {line!r}", num)
     try:

@@ -252,6 +252,18 @@ def is_bipartite(g: PlfGraph) -> bool:
     return True
 
 
+def degrees(n: int, edges, ends=()) -> list[int]:
+    """Degrees of positions 0..n (0 unused) over edges and loose ends,
+    counted from the lists alone, apart from degree_profile."""
+    deg = [0] * (n + 1)
+    for u, v in edges:
+        deg[u] += 1
+        deg[v] += 1
+    for a in ends:
+        deg[a] += 1
+    return deg
+
+
 def is_regular(g: PlfGraph) -> int | None:
     """The common degree when every vertex has one, else None.
 
@@ -260,10 +272,7 @@ def is_regular(g: PlfGraph) -> int | None:
     """
     if g.order == 0:
         return 0
-    deg = [0] * (g.order + 1)
-    for u, v in g.edges:
-        deg[u] += 1
-        deg[v] += 1
+    deg = degrees(g.order, g.edges)
     # deg[0] is an unused slot, which a 0-regular graph's degree would match
     want = deg[1]
     return want if deg[1:].count(want) == g.order else None

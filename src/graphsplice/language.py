@@ -34,6 +34,14 @@ DEFAULT_MAX_ITERATIONS = 4
 DEFAULT_MAX_ORDER = 8
 
 
+def check_axiom(g: PlfGraph) -> None:
+    """Axioms must be simple graphs."""
+    if not is_simple(g):
+        raise SystemDefinitionError(
+            f"axiom {g} has a repeated edge; axioms must be simple"
+        )
+
+
 @dataclass(frozen=True)
 class SplicingSystem:
     axioms: tuple[PlfGraph, ...]
@@ -47,10 +55,7 @@ class SplicingSystem:
         if not self.rules:
             raise SystemDefinitionError("a system needs at least one rule")
         for g in self.axioms:
-            if not is_simple(g):
-                raise SystemDefinitionError(
-                    f"axiom {g} has a repeated edge; axioms must be simple"
-                )
+            check_axiom(g)
 
 
 @dataclass(frozen=True)
@@ -160,19 +165,19 @@ class _Splicer:
             for shape, (first_pres, first_sufs) in self.columns[s.first].items():
                 # no cut of the second column has this shape: no rows, no pairs
                 second_pres, second_sufs = second_column.get(shape, ({}, {}))
-                # each row filed one prefix, so the prefix counts sum to
-                # the rows cut to this shape
+                # each row filed one prefix, so the prefix groups' rows
+                # count the rows cut to this shape
                 raw += (2 * factorial(shape[0])
-                        * sum(p.count for p in first_pres.values())
-                        * sum(p.count for p in second_pres.values()))
+                        * sum(len(p.rows) for p in first_pres.values())
+                        * sum(len(p.rows) for p in second_pres.values()))
                 # direction 1 joins the first row's prefix to the second
                 # row's suffix, direction 2 the second's prefix to the first's
                 for d, prefixes, suffixes in ((1, first_pres, second_sufs),
                                               (2, second_pres, first_sufs)):
                     for prefix, pre in prefixes.items():
-                        prow = pre.row
+                        prow = pre.rows[0]
                         for suffix, suf in suffixes.items():
-                            srow = suf.row
+                            srow = suf.rows[0]
                             if prow < old and srow < old:
                                 continue  # an earlier step joined the pair
                             cell = (prow, srow, r, d) if d == 1 else (srow, prow, r, d)

@@ -17,7 +17,7 @@ indexes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import permutations
 
 from .cutting import CutResult, CuttingRule, Fragment, as_rule, cut
@@ -112,14 +112,12 @@ def directions(cg: CutResult, ch: CutResult) -> tuple:
 
 @dataclass(slots=True)
 class _Group:
-    """The cuts filed under one fragment: rep and row are the first such
-    cut and its row, count how many were filed, and orders counts them
-    by the order of the graph they were cut from."""
+    """The cuts filed under one fragment: rep is the first such cut and
+    rows the row of every cut filed, in filing order, so rows[0] is
+    rep's row and len(rows) the number of cuts."""
 
     rep: CutResult
-    row: int
-    count: int = 0
-    orders: dict = field(default_factory=dict)
+    rows: list
 
 
 def file_cut(index: dict, cg: CutResult, row: int) -> None:
@@ -132,23 +130,22 @@ def file_cut(index: dict, cg: CutResult, row: int) -> None:
     other and to no other shape's.  Within a side it is filed under its
     fragment: a fragment is all join reads, so every product depends on
     its (prefix, suffix) pair alone and a caller joins each pair once,
-    weighted by the groups' counts; and a fragment fixes the source
+    weighted by the groups' row counts; and a fragment fixes the source
     degrees of its retained positions (its intact edges plus its
     anchors), so its first cut stands for all of them.  Shapes and
-    groups keep filing order, and a group keeps the row of its first
-    cut: filed again, a fragment only adds to count and orders.
+    groups keep filing order, and a group keeps its first cut: filed
+    again, a fragment only appends the row to its group's rows.
     """
     shape = cg.shape
     sides = index.get(shape)
     if sides is None:
         sides = index[shape] = ({}, {})
-    order = cg.graph.order
     for groups, fragment in zip(sides, (cg.prefix, cg.suffix)):
         group = groups.get(fragment)
         if group is None:
-            group = groups[fragment] = _Group(cg, row)
-        group.count += 1
-        group.orders[order] = group.orders.get(order, 0) + 1
+            groups[fragment] = _Group(cg, [row])
+        else:
+            group.rows.append(row)
 
 
 def sigma_pair(g: PlfGraph, h: PlfGraph, s: SplicingRule) -> list[SpliceProduct]:

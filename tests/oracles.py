@@ -75,13 +75,6 @@ def brute_canonical(g: PlfGraph):
     return (n, best)
 
 
-def _cmp_prefix(a, b, length):
-    for k in range(length):
-        if a[k] != b[k]:
-            return 1 if a[k] > b[k] else -1
-    return 0
-
-
 # The degree-sorted minimum-vector search that individualization-
 # refinement replaced: every degree-respecting layout, cut only by a
 # whole-prefix comparison.  Its keys differ from graphs._canonical_search's,
@@ -133,7 +126,7 @@ def reference_canonical(order: int, edges) -> bytes:
                 vec[pos] = row[assigned[q]]
                 pos += 1
             # prune any branch already lexicographically above the best
-            if best is not None and _cmp_prefix(vec, best, pos) > 0:
+            if best is not None and vec[:pos] > best[:pos]:
                 continue
             used[v] = True
             assigned[p] = v
@@ -145,20 +138,13 @@ def reference_canonical(order: int, edges) -> bytes:
 
 
 def brute_isomorphic(g: PlfGraph, h: PlfGraph) -> bool:
+    """Order, size and sorted degrees first, then brute_canonical keys."""
     if g.order != h.order or g.size != h.size:
         return False
     if sorted(g.degree(v) for v in range(1, g.order + 1)) != sorted(
             h.degree(v) for v in range(1, h.order + 1)):
         return False
-    target = tuple(sorted(h.edges))
-    for perm in permutations(range(1, g.order + 1)):
-        mapping = {old: new for old, new in zip(range(1, g.order + 1), perm)}
-        image = tuple(sorted(
-            tuple(sorted((mapping[u], mapping[v]))) for u, v in g.edges
-        ))
-        if image == target:
-            return True
-    return False
+    return brute_canonical(g) == brute_canonical(h)
 
 
 def components(g: PlfGraph):

@@ -412,6 +412,20 @@ def test_lang_order_past_the_stack_exits_4_at_once(tmp_path):
                            "than the interpreter's stack\n")
 
 
+def test_iso_at_the_recursion_limit_exits_4(capsys, tmp_path):
+    # two edgeless graphs pass the order, size and degree checks, so iso
+    # asks for their canonical forms, which are refused at this order
+    order = sys.getrecursionlimit()
+    first, second = tmp_path / "a.plfg", tmp_path / "b.plfg"
+    for target in (first, second):
+        target.write_text(write_graph(PlfGraph(order)))
+    assert main(["iso", str(first), str(second)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: canonical form of order {order} is deeper than the interpreter's stack\n")
+
+
 def test_verify_single_check_passes(capsys):
     code, out = run_cli(capsys, "verify", "--max-order", "4",
                         "--theorem", "power-formula")

@@ -144,12 +144,24 @@ def test_system_parse_errors():
     with pytest.raises(ParseError) as err:
         parse_system("plfs 1\naxiom 2 : 1-2 1-2\nrule 1,2 : 1,2\n")
     assert "simple" in str(err.value) or "repeated" in str(err.value)
+    assert err.value.line == 2
 
-    with pytest.raises(ParseError):
+    # so does a cap below its least value
+    with pytest.raises(ParseError, match="max_order must be >= 1") as err:
+        parse_system("plfs 1\naxiom 2 : 1-2\nmax-order 0\nrule 1,2 : 1,2\n")
+    assert err.value.line == 3
+    with pytest.raises(ParseError, match="max_iterations must be >= 0") as err:
+        parse_system("plfs 1\naxiom 2 : 1-2\nrule 1,2 : 1,2\nmax-iterations -1\n")
+    assert err.value.line == 4
+
+    # errors of the system as a whole have no line of their own
+    with pytest.raises(ParseError) as err:
         parse_system("plfs 1\nrule 1,2 : 1,2\n")
+    assert err.value.line is None
 
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as err:
         parse_system("plfs 1\naxiom 9 :\nrule 1,2 : 1,2\nmax-order 5\n")
+    assert err.value.line is None
 
 
 @pytest.mark.parametrize("directive", ["max-order", "max-iterations"])

@@ -357,8 +357,10 @@ def test_file_cut_matches_a_tally_made_apart_from_it():
     """Every valid cut of every simple graph of order <= 4 and of 100
     seeded multigraphs, filed with the graph's index as its row.  The
     tally keys shapes by (hanging count, rule reflexive) and fragments by
-    join_key; each group keeps its first cut and row, counts its cuts
-    and their source orders, and shapes and groups keep filing order."""
+    join_key; each group keeps its first cut and the row of every cut
+    filed under it, in filing order, and shapes and groups keep filing
+    order.  The rows give the first row, the count of cuts and their
+    source orders."""
     rng = random.Random(2007)
     graphs = [g for n in range(1, 5) for g in enumerate_simple_graphs(n)]
     for _ in range(100):
@@ -367,7 +369,7 @@ def test_file_cut_matches_a_tally_made_apart_from_it():
         graphs.append(PlfGraph(n, tuple(rng.choice(pairs)
                                         for _ in range(rng.randint(0, 10)))))
     index = {}
-    # (power, split) -> per side {key: [row, graph, rule, count, orders]}
+    # (power, split) -> per side {key: [graph, rule, rows]}
     tally = {}
     cuts = 0
     for row, g in enumerate(graphs):
@@ -377,17 +379,14 @@ def test_file_cut_matches_a_tally_made_apart_from_it():
             cuts += 1
             sides = tally.setdefault((len(c.ecut), rule.reflexive), ({}, {}))
             for side, frag in zip(sides, (c.prefix, c.suffix)):
-                entry = side.setdefault(join_key(frag), [row, g, rule, 0, {}])
-                entry[3] += 1
-                entry[4][g.order] = entry[4].get(g.order, 0) + 1
+                side.setdefault(join_key(frag), [g, rule, []])[2].append(row)
     assert cuts == 1181
     assert list(index) == [(m, not split) for m, split in tally]
     for (m, split), want_sides in tally.items():
         for kind, want, groups in zip(("prefix", "suffix"), want_sides,
                                       index[m, not split]):
             assert all(f.kind == kind for f in groups)
-            got = {join_key(f): [grp.row, grp.rep.graph, grp.rep.rule,
-                                  grp.count, dict(grp.orders)]
+            got = {join_key(f): [grp.rep.graph, grp.rep.rule, grp.rows]
                    for f, grp in groups.items()}
             # equal lists of keys: no two filed fragments share a join key
             assert list(got) == list(want)
@@ -404,7 +403,7 @@ def test_a_fragment_filed_again_keeps_its_first_cut_and_row():
     [(shape, (prefixes, suffixes))] = index.items()
     assert shape == (1, True)
     [pre] = prefixes.values()
-    assert (pre.rep, pre.row, pre.count, pre.orders) == (first, 5, 3, {3: 2, 4: 1})
+    assert (pre.rep, pre.rows) == (first, [5, 2, 9])
     assert pre.rep is first
-    assert [(s.row, s.count, s.orders) for s in suffixes.values()] == [
-        (5, 2, {3: 2}), (9, 1, {4: 1})]
+    assert [(s.rep.graph.order, s.rep.rule, s.rows) for s in suffixes.values()] == [
+        (3, first.rule, [5, 2]), (4, first.rule, [9])]
