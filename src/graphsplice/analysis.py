@@ -13,6 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import permutations
+from math import factorial
 
 from . import splicing
 from .cutting import CuttingRule, cut, power_by_formula, valid_rules
@@ -366,7 +367,8 @@ def _regularity_report() -> TheoremReport:
     corpus = [cycle(3), cycle(4), cycle(5), cycle(6), complete(4), complete(5)]
     tables = [(g, is_regular(g), [cut(g, c) for c in valid_rules(g)])
               for g in corpus]
-    # (prefix, suffix) -> is_regular per product, shared by (g, h) and (h, g)
+    # (prefix, suffix) -> (product, is_regular) per product, shared by
+    # (g, h) and (h, g)
     verdicts: dict = {}
     instances = 0
     total = 0
@@ -382,19 +384,18 @@ def _regularity_report() -> TheoremReport:
                     for direction, pre, suf in directions(cg, ch):
                         key = (pre, suf)
                         if key not in verdicts:
-                            verdicts[key] = [is_regular(p)
+                            verdicts[key] = [(p, is_regular(p))
                                              for p in splicing.join(pre, suf)]
                         instances += len(verdicts[key])
                         # join's products come in the bijection order of
-                        # permutations, so the k-th verdict is bijection r
-                        for k, (r, ok) in enumerate(zip(
-                                permutations(range(cg.power)), verdicts[key])):
+                        # permutations, so each verdict pairs with its r
+                        for r, (prod, ok) in zip(permutations(range(cg.power)),
+                                                 verdicts[key]):
                             if ok == rg:
                                 continue
                             total += 1
                             gap_rule_total += gap
                             if len(samples) < SAMPLE_CAP:
-                                prod = splicing.join(pre, suf)[k]
                                 samples.append((
                                     f"{g} with {h}, rule "
                                     f"{SplicingRule(cg.rule, ch.rule)}, "
@@ -509,8 +510,15 @@ def check_iso_splice(max_order: int = 5) -> TheoremReport:
 
     Runs like the product-law sweep, one isomorphism class at a time:
     the members are cut once and filed by splicing.file_cut within the
-    class, and join runs once per distinct fragment pair, with every
-    tally weighted by the combos sharing the pair.
+    class.  N cuts of one shape and power m make N^2 ordered pairs of
+    2(m!) products each, and all of them count as instances.  A prefix
+    cut at position ia welded to a suffix cut at ib gives order
+    n + ia - ib, and within one shape ia = ib means one cutting rule, so
+    join runs only on pairs of groups cut by the same rule, with every
+    tally weighted by the combos sharing the pair; every product of
+    another pair has another order and is not isomorphic to the
+    operands.  Each class files its own index, so a fragment pair found
+    in several classes is joined once per class.
     """
     classes: dict[bytes, list[PlfGraph]] = {}
     for g in graphs_up_to(max_order, cap=PAIR_SWEEP_CAP):
@@ -521,19 +529,17 @@ def check_iso_splice(max_order: int = 5) -> TheoremReport:
     exceptions = 0
     exception_samples = []
     for key, members in classes.items():
-        n = members[0].order
-        for pres, sufs in _cut_groups(members).values():
+        for (m, _), (pres, sufs) in _cut_groups(members).items():
+            # each cut files one prefix, so the prefix groups' rows are N
+            instances += 2 * factorial(m) * sum(len(pre.rows) for pre in pres) ** 2
             for pre in pres:
                 ca = pre.rep
                 for suf in sufs:
                     cb = suf.rep
+                    if ca.rule != cb.rule:
+                        continue
                     weight = 2 * len(pre.rows) * len(suf.rows)
                     for p in splicing.join(ca.prefix, cb.suffix):
-                        instances += weight
-                        if p.order != n:
-                            # different order forces non-isomorphic, so
-                            # the asserted direction holds
-                            continue
                         same_order += weight
                         if canonical_form(p) != key:
                             exceptions += weight

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import operator
 import sys
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate, combinations
@@ -342,6 +343,29 @@ def _canonical_search(order: int, edges) -> bytes:
         adj[v].append(u)
     tally = [0] * n  # scratch: edges from a splitter of several vertices
 
+    def split(lab, cell, end, c, e, members, count, trace):
+        """Split the cell lab[c:e], whose vertices are members, into runs
+        of equal count in order of increasing count: sorts members in
+        place, appends one event to trace and returns the new starts."""
+        members.sort(key=count.__getitem__)
+        lab[c:e] = members
+        event = [c]
+        starts = []
+        start, last = c, count[members[0]]
+        for i in range(c + 1, e):
+            w = members[i - c]
+            if count[w] != last:
+                event += (last, i)
+                end[start] = i
+                starts.append(start)
+                start, last = i, count[w]
+            cell[w] = start
+        event += (last, e)
+        end[start] = e
+        starts.append(start)
+        trace.append(tuple(event))
+        return starts
+
     def refine(lab, cell, end, queue, cells, trace):
         """Refine the partition in place until it is equitable (or
         discrete), splitting against the cells in queue; returns the new
@@ -370,8 +394,8 @@ def _canonical_search(order: int, edges) -> bytes:
                 if e - c == 1:
                     continue
                 if e - c == 2:
-                    # the general split below, for two singletons: either
-                    # may stay out of the queue, so the second goes in
+                    # split's result for two singletons: either may
+                    # stay out of the queue, so the second goes in
                     a, b = lab[c], lab[c + 1]
                     x, y = count[a], count[b]
                     if x == y:
@@ -394,23 +418,7 @@ def _canonical_search(order: int, edges) -> bytes:
                         break
                 else:
                     continue  # every member counts the same
-                members.sort(key=count.__getitem__)
-                lab[c:e] = members
-                event = [c]
-                starts = []
-                start, last = c, count[members[0]]
-                for i in range(c + 1, e):
-                    w = members[i - c]
-                    if count[w] != last:
-                        event += (last, i)
-                        end[start] = i
-                        starts.append(start)
-                        start, last = i, count[w]
-                    cell[w] = start
-                event += (last, e)
-                end[start] = e
-                starts.append(start)
-                trace.append(tuple(event))
+                starts = split(lab, cell, end, c, e, members, count, trace)
                 cells += len(starts) - 1
                 if queued[c]:
                     fresh = starts[1:]
@@ -444,27 +452,17 @@ def _canonical_search(order: int, edges) -> bytes:
             text = ",".join(map(str, vec))
         return f"{n}|{text}".encode()
 
-    # the root: cells of equal degree, highest degree first
-    deg = [len(a) for a in adj]
-    lab = sorted(range(n), key=deg.__getitem__, reverse=True)
+    # the root: cells of equal degree, highest degree first (a stable
+    # sort on minus the degree); its split is no event of the trace
+    lab = list(range(n))
     cell = [0] * n
     end = [0] * n
-    starts = []
-    start, last = 0, deg[lab[0]]
-    for i, w in enumerate(lab):
-        if deg[w] != last:
-            end[start] = i
-            starts.append(start)
-            start, last = i, deg[w]
-        cell[w] = start
-    end[start] = n
-    starts.append(start)
+    starts = split(lab, cell, end, 0, n, lab[:], [-len(a) for a in adj], [])
     cells = len(starts)
-    if cells > 1:
-        # the degree partition is already equitable against the whole
-        # vertex set, so one cell may stay out of the queue
-        sizes = [end[x] - x for x in starts]
-        del starts[sizes.index(max(sizes))]
+    # the degree partition is already equitable against the whole vertex
+    # set, so one cell may stay out of the queue
+    sizes = [end[x] - x for x in starts]
+    del starts[sizes.index(max(sizes))]
     trace: list = []
     cells = refine(lab, cell, end, starts, cells, trace)
     if cells == n:
@@ -632,10 +630,17 @@ def canonical_form(g: PlfGraph) -> bytes:
 
 def is_isomorphic(g: PlfGraph, h: PlfGraph) -> bool:
     """Order, size and sorted degrees first; pairs that agree on all
-    three are compared by canonical form."""
+    three are compared by canonical form.
+
+    The degrees are those of the vertices that have edges, counted from
+    the edge lists: with the orders equal, that is the whole degree
+    sequence, and the test costs the size, not the order, so a graph of
+    huge order and no edges reaches canonical_form's refusal at once.
+    """
     if g.order != h.order or g.size != h.size:
         return False
-    if sorted(degree_profile(g).total) != sorted(degree_profile(h).total):
+    if (sorted(Counter(v for e in g.edges for v in e).values())
+            != sorted(Counter(v for e in h.edges for v in e).values())):
         return False
     return canonical_form(g) == canonical_form(h)
 

@@ -9,10 +9,11 @@ direction, hence 2(m!) products, every one of which sigma_pair emits
 with its provenance.  join is the one weld: it builds the m! products
 of one (prefix, suffix) pair, and directions lists the pairs of two
 cuts.  join reads nothing of a fragment but its fields, so a fragment
-is its own join key: the closure, the law sweeps and the regularity
-report run it once per distinct (prefix, suffix) pair.  file_cut is the
-one filing function of the closure's and the law sweeps' fragment
-indexes.
+is its own join key: the closure, the product-law sweep and the
+regularity report run it once per distinct (prefix, suffix) pair, and
+the isomorphic-operand sweep once per same-rule pair within each
+isomorphism class.  file_cut is the one filing function of the
+closure's and the law sweeps' fragment indexes.
 """
 
 from __future__ import annotations

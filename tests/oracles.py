@@ -236,10 +236,10 @@ def pairwise_law_sweep(graphs, max_power):
 
 
 def pairwise_iso_sweep(graphs):
-    """(instances, converse exceptions) over every ordered pair of
-    isomorphic graphs: every product counts, and an equal-order product
-    not isomorphic to the operands is an exception."""
-    instances = exceptions = 0
+    """(instances, equal-order products, converse exceptions) over every
+    ordered pair of isomorphic graphs: every product counts, and an
+    equal-order product not isomorphic to the operands is an exception."""
+    instances = same_order = exceptions = 0
     for g in graphs:
         for h in graphs:
             if brute_canonical(g) != brute_canonical(h):
@@ -247,9 +247,10 @@ def pairwise_iso_sweep(graphs):
             for prods in _splice_all(g, h):
                 for p in prods:
                     instances += 1
-                    if p.graph.order == g.order and not brute_isomorphic(p.graph, g):
-                        exceptions += 1
-    return instances, exceptions
+                    if p.graph.order == g.order:
+                        same_order += 1
+                        exceptions += not brute_isomorphic(p.graph, g)
+    return instances, same_order, exceptions
 
 
 def sigma_pair_regularity_report():

@@ -319,9 +319,27 @@ def test_iso_splice_small_sweep():
 
 def test_iso_splice_matches_the_pairwise_oracle():
     report = check_iso_splice(3)
-    instances, exceptions = pairwise_iso_sweep(list(graphs_up_to(3)))
-    assert (report.instances_checked,
-            report.extras["converse_exceptions"]) == (instances, exceptions)
+    assert (report.instances_checked, report.extras["same_order_products"],
+            report.extras["converse_exceptions"]) == pairwise_iso_sweep(
+                list(graphs_up_to(3)))
+
+
+def test_iso_splice_joins_only_same_rule_pairs(monkeypatch):
+    # a prefix cut at ia welded to a suffix cut at ib has order
+    # n + ia - ib, so only the 643 pairs of groups cut by one rule can
+    # keep the operands' order; joining every pair of one shape makes
+    # 2,662 calls
+    calls = 0
+    join = splicing.join
+
+    def counting_join(prefix, suffix):
+        nonlocal calls
+        calls += 1
+        return join(prefix, suffix)
+
+    monkeypatch.setattr(splicing, "join", counting_join)
+    check_iso_splice(4)
+    assert calls == 643
 
 
 def test_verify_all_covers_every_check():

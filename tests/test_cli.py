@@ -392,23 +392,29 @@ def test_lang_search_deeper_than_the_stack_exits_4(capsys, tmp_path):
         f"error: canonical form of order {order} is deeper than the interpreter's stack\n")
 
 
-def test_lang_order_past_the_stack_exits_4_at_once(tmp_path):
-    # the search for this axiom would first build a 100000-by-100000
-    # matrix (about 80 GB); the child's address space is capped at 1 GB,
-    # so a search that starts building it dies of MemoryError instead of
-    # exhausting the machine
-    system = tmp_path / "huge.plfs"
-    system.write_text("plfs 1\naxiom 100000 :\nrule 1,2 : 1,2\n"
-                      "max-order 100000\n")
+@pytest.mark.parametrize("command, files, text, order", [
+    ("lang", 1, "plfs 1\naxiom 100000 :\nrule 1,2 : 1,2\nmax-order 100000\n",
+     100000),
+    ("iso", 2, "plfg 1\norder 1000000000\n", 1000000000),
+], ids=["lang", "iso"])
+def test_lang_order_past_the_stack_exits_4_at_once(tmp_path, command, files,
+                                                   text, order):
+    # lang's search for this axiom would first build a 100000-by-100000
+    # matrix (about 80 GB), and a degree list as long as the order of these
+    # two edgeless graphs would take tens of GB before iso's search; the
+    # child's address space is capped at 1 GB, so a command that starts
+    # building either dies of MemoryError instead of exhausting the machine
+    source = tmp_path / "huge"
+    source.write_text(text)
     cap = 1 << 30
     proc = subprocess.run(
-        [sys.executable, "-m", "graphsplice", "lang", str(system)],
+        [sys.executable, "-m", "graphsplice", command, *[str(source)] * files],
         capture_output=True, text=True, env=child_env(),
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
     )
     assert proc.returncode == 4
     assert proc.stdout == ""
-    assert proc.stderr == ("error: canonical form of order 100000 is deeper "
+    assert proc.stderr == (f"error: canonical form of order {order} is deeper "
                            "than the interpreter's stack\n")
 
 
