@@ -100,7 +100,10 @@ class IterationTrace:
     raw_products: int
     new_classes: int
     new_overcap: int  # of the new classes, how many exceed max_order
-    joins: int  # products actually built; the rest were known already
+    # products actually built: one per orbit of bijections (splicing.join
+    # with representatives) of each fragment pair joined; every other
+    # product is isomorphic to one built or was built at an earlier step
+    joins: int
 
 
 @dataclass(frozen=True)
@@ -147,7 +150,10 @@ class _Splicer:
         other pair.  Returns {key: first
         product found} over those joins, the number of logical products
         of all ordered pairs of rows (2(m!) per pair and rule whose cuts
-        weld) and the number of products built.
+        weld) and the number of products built: join builds only the
+        first product of each orbit of bijections, and every other
+        product of the orbit is isomorphic to it, so it is never the
+        first product found for its class.
 
         The scan-order rule: a scan of the cells (first row, second row,
         rule, direction) of these row pairs would first meet a fragment
@@ -187,7 +193,7 @@ class _Splicer:
         found: dict[bytes, PlfGraph] = {}
         joins = 0
         for (prefix, suffix), _ in sorted(first_cell.items(), key=lambda kv: kv[1]):
-            products = splicing.join(prefix, suffix)
+            products = splicing.join(prefix, suffix, representatives=True)
             joins += len(products)
             for prod in products:
                 found.setdefault(canonical_form(prod), prod)
@@ -214,7 +220,7 @@ def language(system: SplicingSystem, config: LanguageConfig | None = None) -> La
     _Splicer.step states.
     raw_products counts the logical products over all ordered pairs,
     those not visited included; joins counts the products actually
-    built.
+    built, one per orbit of bijections of each fragment pair joined.
     """
     if config is None:
         config = LanguageConfig()

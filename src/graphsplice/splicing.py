@@ -7,19 +7,25 @@ Suffix(G).  The cuts weld only when their shapes (CutResult.shape) are
 equal.  With m hanging edges per fragment there are m! bijections per
 direction, hence 2(m!) products, every one of which sigma_pair emits
 with its provenance.  join is the one weld: it builds the m! products
-of one (prefix, suffix) pair, and directions lists the pairs of two
-cuts.  join reads nothing of a fragment but its fields, so a fragment
-is its own join key: the closure, the product-law sweep and the
-regularity report run it once per distinct (prefix, suffix) pair, and
-the isomorphic-operand sweep once per same-rule pair within each
+of one (prefix, suffix) pair, or with representatives=True the first
+product of each orbit of bijections under the swaps of
+_fragment_moves, and directions lists the pairs of two cuts.  The
+closure asks for representatives; sigma_pair and the law sweeps build
+all m! products.  join reads nothing of a fragment but its fields, so
+a fragment is its own join key: the closure, the product-law sweep and
+the regularity report run it once per distinct (prefix, suffix) pair,
+and the isomorphic-operand sweep once per same-rule pair within each
 isomorphism class.  file_cut is the one filing function of the
 closure's and the law sweeps' fragment indexes.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import permutations
+from operator import itemgetter
 
 from .cutting import CutResult, CuttingRule, Fragment, as_rule, cut
 from .errors import CapExceededError, JoinError, NotApplicableError
@@ -27,7 +33,11 @@ from .graphs import PlfGraph
 
 # largest power join welds: a splice makes 2(m!) products, so each step
 # up multiplies time and memory by about m; two power-8 stars give 80,640
-# products in 1.4 s and 85 MB (2-core machine, Python 3.11)
+# products in 1.4 s and 85 MB (2-core machine, Python 3.11).  The closure
+# builds one product per orbit of bijections, but finding the orbits
+# visits all m! bijections once per move pattern, so the cap bounds that
+# too: 0.35 s for a power-8 pair whose hanging edges all sit at one
+# anchor or at twin anchors, on the same machine
 SPLICE_POWER_CAP = 8
 
 
@@ -56,7 +66,8 @@ class SpliceProduct:
     rule: SplicingRule
 
 
-def join(prefix: Fragment, suffix: Fragment) -> list[PlfGraph]:
+def join(prefix: Fragment, suffix: Fragment, *,
+         representatives: bool = False) -> list[PlfGraph]:
     """Weld a prefix fragment to a suffix fragment under every bijection
     of their hanging edges, in lexicographic order.
 
@@ -65,7 +76,13 @@ def join(prefix: Fragment, suffix: Fragment) -> list[PlfGraph]:
     merge into the prefix's last position.  Under bijection r, hanging
     edge t of the prefix fuses with hanging edge r[t] of the suffix into
     a single new edge between their anchors.  A power above
-    SPLICE_POWER_CAP raises CapExceededError before any product is built.
+    SPLICE_POWER_CAP raises CapExceededError before any product is built
+    and before any orbit is sought.
+
+    With representatives=True only the first bijection of each orbit
+    (_orbit_representatives) is welded, still in lexicographic order.
+    Every product of an orbit is isomorphic to its first, so the first
+    product of each isomorphism class is always built.
     """
     m = len(prefix.hanging)
     if m > SPLICE_POWER_CAP:
@@ -98,8 +115,103 @@ def join(prefix: Fragment, suffix: Fragment) -> list[PlfGraph]:
     left = prefix.hanging
     right = [a + offset for a in suffix.hanging]
     # permutations of right, like those of range(m), come in index order
-    return [build(order, tuple(sorted([*intact, *zip(left, ends)])))
-            for ends in permutations(right)]
+    ends = permutations(right)
+    if representatives and m > 1:
+        pre, suf = _fragment_moves(prefix), _fragment_moves(suffix)
+        if pre or suf:
+            ends = ([right[i] for i in r]
+                    for r in _orbit_representatives(m, pre, suf))
+    return [build(order, tuple(sorted([*intact, *zip(left, e)]))) for e in ends]
+
+
+def _swap(m: int, pairs) -> tuple[int, ...]:
+    """The permutation of range(m) that swaps each pair (t, u)."""
+    p = list(range(m))
+    for t, u in pairs:
+        p[t], p[u] = u, t
+    return tuple(p)
+
+
+@lru_cache(maxsize=4096)
+def _fragment_moves(fragment: Fragment) -> tuple[tuple[int, ...], ...]:
+    """Swaps of hanging-edge indices that an automorphism of the fragment
+    makes, the fragment read as its retained positions, its intact edges
+    and one pendant stub per hanging edge:
+
+    - two hanging edges at one anchor, which weld to the same edges;
+    - two twin anchors with their hanging edges, the i-th at one paired
+      with the i-th at the other.  Twins have rows (multiplicity to each
+      retained position, and stub count) that agree outside the pair, so
+      exchanging them fixes the fragment.
+
+    No hanging edge is anchored at the half-vertex, so every move fixes
+    it.  Twinship is transitive, so swaps of neighbours within each twin
+    class, like those within each anchor, generate every such exchange.
+    A rigid fragment has no move.  Cached, because the closure joins
+    each fragment to many partners.
+    """
+    m = len(fragment.hanging)
+    at: dict[int, list[int]] = {}
+    for t, a in enumerate(fragment.hanging):
+        at.setdefault(a, []).append(t)
+    moves = [_swap(m, [(t, u)])
+             for ts in at.values() for t, u in zip(ts, ts[1:])]
+    mult = Counter()
+    for u, v in fragment.intact:
+        mult[u, v] += 1
+        mult[v, u] += 1
+    twins: list[list[int]] = []
+    for a in at:
+        for cls in twins:
+            b = cls[0]
+            if len(at[a]) == len(at[b]) and all(
+                    mult[a, z] == mult[b, z]
+                    for z in fragment.retained if z != a and z != b):
+                cls.append(a)
+                break
+        else:
+            twins.append([a])
+    moves.extend(_swap(m, zip(at[a], at[b]))
+                 for cls in twins for a, b in zip(cls, cls[1:]))
+    return tuple(moves)
+
+
+@lru_cache(maxsize=256)
+def _orbit_representatives(m: int, prefix_moves: tuple,
+                           suffix_moves: tuple) -> tuple[tuple[int, ...], ...]:
+    """The first bijection of each orbit of the m! bijections, all in
+    lexicographic order.
+
+    A prefix move p maps bijection r to r∘p and a suffix move q maps it
+    to q∘r: an automorphism of the prefix that permutes its hanging edges
+    by p carries the product of r onto the product of r∘p⁻¹, and one of
+    the suffix that permutes them by q carries it onto the product of
+    q∘r, so an orbit's products are isomorphic (McKay, "Isomorph-free
+    exhaustive generation", J. Algorithms 26, 1998).  Each move is an
+    involution, so no inverse is needed.  Each orbit is flooded from its
+    first bijection.  Cached per move pattern; join checks the power
+    cap first, so m is at most SPLICE_POWER_CAP here.
+    """
+    # b∘p is b read at p's positions; q∘b is q read at b's
+    prefix_getters = [itemgetter(*p) for p in prefix_moves]
+    suffix_getters = [q.__getitem__ for q in suffix_moves]
+    seen: set[tuple[int, ...]] = set()
+    reps = []
+    for r in permutations(range(m)):
+        if r in seen:
+            continue
+        reps.append(r)
+        seen.add(r)
+        todo = [r]
+        while todo:
+            b = todo.pop()
+            images = [g(b) for g in prefix_getters]
+            images += [tuple(map(q, b)) for q in suffix_getters]
+            for c in images:
+                if c not in seen:
+                    seen.add(c)
+                    todo.append(c)
+    return tuple(reps)
 
 
 def directions(cg: CutResult, ch: CutResult) -> tuple:

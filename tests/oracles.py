@@ -7,10 +7,11 @@ sigma_pair call per ordered pair and rule pair for the law sweeps, for
 the regularity report and for the closure.  Slow but obviously correct
 on small graphs.  The few helpers the tests need but the engine does not
 (relabelings, the reversed rule, the product-order bound, a fragment's
-join key spelled out) live here too.
+join key spelled out, the first product of each class) live here too.
 """
 
-from itertools import permutations
+from collections import Counter
+from itertools import chain, combinations, permutations, product
 
 from graphsplice import (
     InvalidRuleError,
@@ -57,6 +58,60 @@ def join_key(frag):
     anchors, no split)."""
     return (frag.start, frag.end, frag.intact, frag.hanging,
             frag.half_vertex is None)
+
+
+def first_of_each_class(products):
+    """{canonical key: the first product with that key}, in the order
+    the classes first appear."""
+    first = {}
+    for p in products:
+        first.setdefault(canonical_form(p), p)
+    return first
+
+
+def twin_anchor_classes(key):
+    """The anchors of a fragment, given as a join_key tuple, grouped into
+    classes joined by exchanges that map the fragment onto itself: the
+    swap of anchors x and y must carry its intact edges onto themselves
+    and x's stubs onto y's."""
+    intact, anchors = key[2], key[3]
+    stubs = Counter(anchors)
+    edges = Counter(tuple(sorted(e)) for e in intact)
+    classes = {a: {a} for a in stubs}
+    for x, y in combinations(sorted(stubs), 2):
+        swap = {x: y, y: x}
+        image = Counter(tuple(sorted((swap.get(u, u), swap.get(v, v))))
+                        for u, v in edges.elements())
+        if stubs[x] == stubs[y] and image == edges and classes[x] is not classes[y]:
+            merged = classes[x] | classes[y]
+            for a in merged:
+                classes[a] = merged
+    return [sorted(c) for c in {id(c): c for c in classes.values()}.values()]
+
+
+def orbit_count(prefix_key, suffix_key):
+    """The orbits of the m! bijections of a fragment pair, given as
+    join_key tuples, under exchanges of two hanging edges at one anchor
+    and of two twin anchors with their edges, counted apart from the
+    engine: a bijection's orbit is its weld-count matrix (the edges it
+    welds between each prefix anchor and each suffix anchor) up to
+    reordering the rows within each twin class of prefix anchors and
+    the columns within each twin class of suffix anchors."""
+    left, right = prefix_key[3], suffix_key[3]
+    matrices = {frozenset(Counter(zip(left, (right[i] for i in r))).items())
+                for r in permutations(range(len(left)))}
+    row_orders = [list(chain.from_iterable(p)) for p in product(
+        *(permutations(c) for c in twin_anchor_classes(prefix_key)))]
+    column_classes = twin_anchor_classes(suffix_key)
+    keys = set()
+    for matrix in matrices:
+        welds = dict(matrix)
+        # with the rows fixed, sorting the columns of each class is the
+        # least arrangement of them
+        keys.add(min(tuple(tuple(sorted(tuple(welds.get((x, y), 0) for x in rows)
+                                        for y in cls)) for cls in column_classes)
+                     for rows in row_orders))
+    return len(keys)
 
 
 def brute_canonical(g: PlfGraph):

@@ -1,7 +1,6 @@
 import importlib
 import random
 from itertools import permutations
-from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -30,13 +29,14 @@ from graphsplice import (
     to_plf,
 )
 from graphsplice import splicing
+import graphsplice.graphs as graphs_module
 from graphsplice.language import (
     ClassInfo,
     LanguageConfig,
     SplicingSystem,
 )
 from conftest import plf_graphs
-from oracles import join_key, naive_language
+from oracles import first_of_each_class, join_key, naive_language, orbit_count
 
 RUNNING_RULE = make_rule((1, 2), (2, 3))
 
@@ -364,47 +364,74 @@ def distinct_pairs(res, system, config):
     return pairs
 
 
+# the perfbench systems: gap and split, then triangle, whose 10
+# iterations skip old pairs at more steps than any other run here, and
+# edgeless, whose power-0 fragment pairs each give one product
+BENCH_SYSTEMS = {
+    "gap-bench": (SplicingSystem(GAP_AXIOMS, GAP_RULES),
+                  LanguageConfig(max_iterations=6, max_order=8)),
+    "split-bench": (SplicingSystem(GAP_AXIOMS, SPLIT_RULES),
+                    LanguageConfig(max_iterations=3, max_order=6)),
+    "triangle-bench": (SplicingSystem((cycle(3),), (RUNNING_RULE,)),
+                       LanguageConfig(max_iterations=20, max_order=11)),
+    "edgeless-bench": (SplicingSystem((PlfGraph(4, ()),),
+                                      (make_rule((2, 3), (1, 2)),
+                                       make_rule((3, 4), (1, 2)))),
+                       LanguageConfig(max_iterations=4, max_order=7)),
+}
+
+
+def recorded_joins(monkeypatch, system, config):
+    """The closure's result, and the (prefix, suffix, products built) of
+    each join it made, in order."""
+    calls = []
+    join = splicing.join
+
+    def recording_join(prefix, suffix, **kwargs):
+        built = join(prefix, suffix, **kwargs)
+        calls.append((prefix, suffix, built))
+        return built
+
+    monkeypatch.setattr(splicing, "join", recording_join)
+    return language(system, config), calls
+
+
 @pytest.mark.parametrize("system, config, expected", [
     (SplicingSystem(GAP_AXIOMS, GAP_RULES),
      LanguageConfig(max_iterations=3, max_order=5), None),
     (SplicingSystem(GAP_AXIOMS, SPLIT_RULES),
      LanguageConfig(max_iterations=2, max_order=5), None),
-    # the perfbench gap and split systems, with their pinned join calls
-    # (fragment pairs) and products
-    (SplicingSystem(GAP_AXIOMS, GAP_RULES),
-     LanguageConfig(max_iterations=6, max_order=8), (341, 1382)),
-    (SplicingSystem(GAP_AXIOMS, SPLIT_RULES),
-     LanguageConfig(max_iterations=3, max_order=6), (1963, 5060)),
-    # the perfbench triangle system, whose 10 iterations skip old pairs
-    # at more steps than any run above, and the edgeless system, whose
-    # power-0 fragment pairs each give one product
-    (SplicingSystem((cycle(3),), (RUNNING_RULE,)),
-     LanguageConfig(max_iterations=20, max_order=11), (19, 38)),
-    (SplicingSystem((PlfGraph(4, ()),),
-                    (make_rule((2, 3), (1, 2)), make_rule((3, 4), (1, 2)))),
-     LanguageConfig(max_iterations=4, max_order=7), (21, 21)),
-], ids=["gap", "split", "gap-bench", "split-bench", "triangle-bench",
-        "edgeless-bench"])
+    # with their pinned join calls (fragment pairs) and products built,
+    # one per orbit of bijections
+    (*BENCH_SYSTEMS["gap-bench"], (341, 455)),
+    (*BENCH_SYSTEMS["split-bench"], (1963, 2316)),
+    (*BENCH_SYSTEMS["triangle-bench"], (19, 19)),
+    (*BENCH_SYSTEMS["edgeless-bench"], (21, 21)),
+], ids=["gap", "split", *BENCH_SYSTEMS])
 def test_each_fragment_pair_is_joined_once(monkeypatch, system, config, expected):
-    calls = []
-    products = []
-    join = splicing.join
-
-    def counting_join(prefix, suffix):
-        built = join(prefix, suffix)
-        calls.append((prefix, suffix))
-        products.extend(built)
-        return built
-
-    monkeypatch.setattr(splicing, "join", counting_join)
-    res = language(system, config)
+    res, calls = recorded_joins(monkeypatch, system, config)
     pairs = distinct_pairs(res, system, config)
     assert len(calls) == len(pairs)
-    assert {(join_key(p), join_key(s)) for p, s in calls} == pairs
-    assert len(products) == sum(t.joins for t in res.trace)
-    assert len(products) == sum(factorial(len(p[3])) for p, _ in pairs)
+    assert {(join_key(p), join_key(s)) for p, s, _ in calls} == pairs
+    built = sum(len(products) for _, _, products in calls)
+    assert built == sum(t.joins for t in res.trace)
+    assert built == sum(orbit_count(p, s) for p, s in pairs)
     if expected is not None:
-        assert (len(calls), len(products)) == expected
+        assert (len(calls), built) == expected
+
+
+@pytest.mark.parametrize("name", BENCH_SYSTEMS)
+def test_the_closure_builds_the_first_product_of_every_class(monkeypatch, name):
+    """Over every fragment pair the closure joins, its products (one per
+    orbit of bijections) are some of the m! products, in their order,
+    and hold the same classes with the same first product each."""
+    _, calls = recorded_joins(monkeypatch, *BENCH_SYSTEMS[name])
+    monkeypatch.undo()
+    for prefix, suffix, built in calls:
+        every = splicing.join(prefix, suffix)
+        remaining = iter(every)
+        assert all(p in remaining for p in built)
+        assert first_of_each_class(built) == first_of_each_class(every)
 
 
 def test_saturating_runs_end_without_joins():
@@ -596,6 +623,45 @@ def test_gap_rule_languages_of_a_regular_axiom_stay_regular():
     # K3,3 cut at [3,4] severs all 9 edges, above SPLICE_POWER_CAP
     assert refused == [(complete_bipartite(3, 3), make_rule((3, 4), (3, 4)))]
     assert (systems, classes) == (53, 152)
+
+
+def test_the_closure_refuses_a_power_above_the_cap_before_seeking_orbits(monkeypatch):
+    """Seeking the orbits of a power-9 pair floods 9! bijections, so the
+    cap check comes first: the refusal never enters the orbit helpers."""
+    def never(*args):
+        raise AssertionError("orbits sought above the cap")
+
+    monkeypatch.setattr(splicing, "_fragment_moves", never)
+    monkeypatch.setattr(splicing, "_orbit_representatives", never)
+    # K3,3 laid out 1,2,3 | 4,5,6 severs all 9 edges at [3,4]
+    k33 = complete_bipartite(3, 3)
+    halves = cut(k33, (3, 4))
+    with pytest.raises(CapExceededError, match="splice power 9 exceeds cap 8"):
+        splicing.join(halves.prefix, halves.suffix, representatives=True)
+    with pytest.raises(CapExceededError, match="splice power 9 exceeds cap 8"):
+        language(SplicingSystem((k33,), (make_rule((3, 4), (3, 4)),)),
+                 LanguageConfig(max_order=6))
+
+
+def test_k9_closure_builds_one_product_per_orbit():
+    """K9 under three rules whose cuts sever 8 edges, the most the cap
+    allows: 2(8!) bijections per fragment pair, all in one orbit, since
+    each side keeps its 8 hanging edges at one anchor or at 8 twin
+    anchors.  Building and searching every product took about a
+    minute; one product per orbit gives 5 products and 3 cold searches
+    (K9, the 8-fold edge and two K8 joined by a perfect matching)."""
+    k9 = complete(9)
+    system = SplicingSystem((k9,), (make_rule((1, 2), (8, 9)),
+                                    make_rule((8, 9), (1, 2)),
+                                    make_rule((1, 2), (1, 2))))
+    graphs_module._canon_cached.cache_clear()
+    res = language(system, LanguageConfig(max_iterations=4, max_order=9))
+    assert res.saturated
+    orders = sorted(info.representative.order for info in res.classes.values())
+    assert orders == [2, 9, 16]
+    assert graphs_module._canon_cached.cache_info().misses == 3
+    assert [t.joins for t in res.trace] == [0, 3, 2]
+    assert [t.raw_products for t in res.trace] == [0, 241920, 645120]
 
 
 def test_saturation_below_the_cap_is_not_completeness():

@@ -1,9 +1,10 @@
 import random
-from itertools import permutations
+from itertools import combinations, permutations
 from math import factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from graphsplice import (
     CapExceededError,
@@ -26,7 +27,8 @@ from graphsplice.graphs import canonical_form
 from graphsplice import splicing
 from graphsplice.splicing import SplicingRule, directions
 from conftest import plf_graphs
-from oracles import join_key, max_product_order, swapped
+from oracles import (first_of_each_class, join_key, max_product_order,
+                     orbit_count, swapped)
 
 RUNNING_RULE = make_rule((1, 2), (2, 3))
 
@@ -263,6 +265,97 @@ def test_power_zero_join_sorts_unsorted_intact_edges(prefix, suffix, order, edge
     built = join(prefix, suffix)
     assert [(p.order, p.edges) for p in built] == [(order, edges)]
     assert built[0] == PlfGraph(order, tuple(reversed(edges)))
+
+
+@st.composite
+def fragment_sides(draw, kind, m, split):
+    """A fragment of power m on positions 1..n, its stubs drawn as a sum
+    of m over its anchors.  The first two anchors with equal stub counts
+    are made twins: every retained position is as often adjacent to one
+    as to the other.  The hanging edges come in any order."""
+    stubs = []
+    while sum(stubs) < m:
+        stubs.append(draw(st.integers(1, m - sum(stubs))))
+    spare = draw(st.integers(0, 1))
+    n = len(stubs) + spare + split
+    # a prefix's half-vertex is its last position, a suffix's its first
+    half = (n if kind == "prefix" else 1) if split else None
+    anchors = draw(st.permutations([v for v in range(1, n + 1) if v != half]))
+    anchors = anchors[:len(stubs)]
+    mult = {e: draw(st.integers(0, 2))
+            for e in combinations(range(1, n + 1), 2)}
+    equal = [(a, b) for a, b in combinations(range(len(stubs)), 2)
+             if stubs[a] == stubs[b]]
+    if equal:
+        x, y = (anchors[i] for i in equal[0])
+        for z in range(1, n + 1):
+            if z not in (x, y):
+                mult[tuple(sorted((y, z)))] = mult[tuple(sorted((x, z)))]
+    intact = tuple(e for e, k in sorted(mult.items()) for _ in range(k))
+    hanging = draw(st.permutations(
+        [a for a, k in zip(anchors, stubs) for _ in range(k)]))
+    return Fragment(kind, 1, n, intact, tuple(hanging), half)
+
+
+def _twins_and_parallels(frag):
+    """Whether two anchors hold equally many hanging edges, which
+    fragment_sides makes twins, and whether one holds two or more."""
+    counts = sorted(frag.hanging.count(a) for a in set(frag.hanging))
+    return len(set(counts)) < len(counts), counts[-1] > 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_representatives_reach_every_class_first(data):
+    """join's representatives are some of its m! products, in their
+    order, and hold the same classes with the same first product each,
+    over drawn pairs of power <= 4 with twin anchors and with parallel
+    hanging edges: the moves of an anchor holding two edges are not
+    those of its twin class alone.  Their number is the orbit count
+    of the weld-count matrices."""
+    m = data.draw(st.integers(2, 4))
+    split = data.draw(st.booleans())
+    prefix = data.draw(fragment_sides("prefix", m, split))
+    suffix = data.draw(fragment_sides("suffix", m, split))
+    (pre_twins, pre_parallel), (suf_twins, suf_parallel) = map(
+        _twins_and_parallels, (prefix, suffix))
+    assume((pre_twins or suf_twins) and (pre_parallel or suf_parallel))
+    every = join(prefix, suffix)
+    built = join(prefix, suffix, representatives=True)
+    remaining = iter(every)
+    assert all(p in remaining for p in built)
+    assert first_of_each_class(built) == first_of_each_class(every)
+    assert len(built) == orbit_count(join_key(prefix), join_key(suffix))
+
+
+def test_twin_fragments_join_to_one_representative():
+    # K9 cut at [1,2] keeps eight hanging edges at vertex 1 and leaves a
+    # K8 whose eight anchors are twins, and so does K9 cut at [8,9] the
+    # other way round: every bijection of any pair of these fragments
+    # gives one class, so one product of 8! is built, the identity's
+    g = complete(9)
+    star, k8 = cut(g, (1, 2)), cut(g, (8, 9))
+    assert [join(star.prefix, k8.suffix, representatives=True),
+            join(star.prefix, star.suffix, representatives=True),
+            join(k8.prefix, k8.suffix, representatives=True)] == [
+        [PlfGraph(2, ((1, 2),) * 8)], [g], [g]]
+    # two K8 and the perfect matching of the identity between them
+    assert join(k8.prefix, star.suffix, representatives=True) == [PlfGraph(16, (
+        *k8.prefix.intact, *((v, v + 8) for v in range(1, 9)),
+        *((u + 8, v + 8) for u, v in k8.prefix.intact)))]
+    # twin anchors holding two hanging edges each: their moves exchange
+    # the two anchors' pairs of edges, not any two of the four edges, so
+    # two parallel pairs and the 4-cycle both stay
+    pair = Fragment("prefix", 1, 2, (), (1, 1, 2, 2)), Fragment(
+        "suffix", 1, 2, (), (1, 1, 2, 2))
+    assert join(*pair, representatives=True) == [
+        PlfGraph(4, ((1, 3), (1, 3), (2, 4), (2, 4))),
+        PlfGraph(4, ((1, 3), (1, 4), (2, 3), (2, 4)))]
+    # anchors 1 and 3 of the prefix, and 4 and 5 of the suffix, differ
+    # in their rows: no move, so every bijection is built
+    rigid = cut(PlfGraph(6, ((1, 2), (1, 4), (3, 5), (4, 5), (4, 6))), (3, 4))
+    assert join(rigid.prefix, rigid.suffix, representatives=True) == join(
+        rigid.prefix, rigid.suffix)
 
 
 def test_an_unvalidated_graph_is_frozen_and_equals_the_validated_one():
