@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 from hypothesis import given
 
@@ -98,8 +101,40 @@ def test_splice_law_sweep_order4_counts():
     assert bound.extras["oversize_edge_counts"] == 2066
 
 
+def test_splice_law_sweep_joins_each_weldable_pair_once(monkeypatch):
+    # a tally may only come from a pair the sweep joined: it joins every
+    # weldable fragment pair once, then one order-bound witness per pair
+    # of operand orders
+    calls = []
+    join = splicing.join
+
+    def counted(prefix, suffix):
+        calls.append((prefix, suffix))
+        return join(prefix, suffix)
+
+    monkeypatch.setattr(splicing, "join", counted)
+    for order, total, distinct in ((3, 229, 220), (4, 9743, 9727)):
+        calls.clear()
+        check_splice_theorems(order, 3)
+        assert len(calls) == total
+        sweep = calls[:-order * order]
+        assert len(sweep) == len(set(sweep)) == distinct
+    # the pairs of a prefix and a suffix cut to one shape, power <= 3
+    cuts = [c for g in graphs_up_to(4) for c in (cut(g, r) for r in valid_rules(g))
+            if c.power <= 3]
+    assert set(sweep) == {(a.prefix, b.suffix)
+                          for a in cuts for b in cuts if a.shape == b.shape}
+
+
 def _totals(reports):
     return {r.check_id: r.extras.get("violations_total", 0) for r in reports}
+
+
+def _report_sha256(reports):
+    # the report JSON as `graphsplice verify` prints it, so a sweep that
+    # reorders or rewords its samples changes the digest
+    text = json.dumps([r.to_dict() for r in reports], indent=2, sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def _lossy(prefix, suffix, join=splicing.join):
@@ -128,6 +163,8 @@ def test_reversal_check_catches_a_misrouted_join(monkeypatch):
     assert reports["reversal"].status == "violated"
     assert reports["degree-preservation"].status == "verified"
     assert _totals(reports.values())["reversal"] == 4
+    assert _report_sha256(reports.values()) == (
+        "09facd7518800a2cc6b78bb8528016120f71eba2c6beb6ed417b47963e117a82")
 
 
 def test_reversal_check_catches_a_join_with_unsorted_edges(monkeypatch):
@@ -144,24 +181,56 @@ def test_reversal_check_catches_a_join_with_unsorted_edges(monkeypatch):
     assert reports["reversal"].status == "violated"
     assert reports["degree-preservation"].status == "verified"
     assert _totals(reports.values())["reversal"] == 277
+    assert _report_sha256(reports.values()) == (
+        "e457f7d008671f539626556dc3019ca5e558bdebe907f7956e0226e0c74d14d8")
 
 
-def _check_drop(monkeypatch, mutation, reversal, degree):
+def _check_drop(monkeypatch, mutation, reversal, degree, digest):
     # an edgeless product loses nothing, so fewer than all 1,558 products
     # change their degrees; the sigma_pair oracle counts the same ones
     monkeypatch.setattr(splicing, "join", mutation)
-    totals = _totals(check_splice_theorems(3, 3))
-    assert totals == {"product-count": 0, "reversal": reversal,
-                      "degree-preservation": degree, "order-bound": 0}
+    reports = check_splice_theorems(3, 3)
+    assert _totals(reports) == {"product-count": 0, "reversal": reversal,
+                                "degree-preservation": degree, "order-bound": 0}
+    assert _report_sha256(reports) == digest
     assert pairwise_law_sweep(list(graphs_up_to(3)), 3)[3] == degree
 
 
 def test_degree_check_catches_a_join_that_drops_an_edge(monkeypatch):
-    _check_drop(monkeypatch, _lossy, 522, 1076)
+    _check_drop(monkeypatch, _lossy, 522, 1076,
+                "6a3a422c5a46453a374f38d103e38a756c3dc19c8460ea8d9aaa0b4143b6df6a")
 
 
 def test_degree_check_catches_a_drop_from_the_last_product_only(monkeypatch):
-    _check_drop(monkeypatch, _last_lossy, 522, 1044)
+    _check_drop(monkeypatch, _last_lossy, 522, 1044,
+                "005f4cef070436022fb77d5d4750206fc21858985848503dbb6cf25f6d81fea9")
+
+
+def _short(prefix, suffix, join=splicing.join):
+    # every pair of power at least 1 loses its last product
+    built = join(prefix, suffix)
+    return built[:-1] if prefix.hanging else built
+
+
+def _repeated(prefix, suffix, join=splicing.join):
+    # every pair of power at least 1 gains a copy of its last product
+    built = join(prefix, suffix)
+    return [*built, built[-1]] if prefix.hanging else built
+
+
+@pytest.mark.parametrize("mutation, digest", [
+    (_short, "f83ee3d3cdee8d609f88dcdc9766516c3d4be621d5f99edd62fd3092a4729158"),
+    (_repeated,
+     "6dee6a4fa2b6faca256c8c02a21caa826a0d17a6e672e126ef1a178381b65339"),
+], ids=["short", "repeated"])
+def test_count_check_catches_a_join_with_the_wrong_product_count(
+        monkeypatch, mutation, digest):
+    # the products that are built are all right, so only the count fails
+    monkeypatch.setattr(splicing, "join", mutation)
+    reports = check_splice_theorems(3, 3)
+    assert _totals(reports) == {"product-count": 113, "reversal": 0,
+                                "degree-preservation": 0, "order-bound": 0}
+    assert _report_sha256(reports) == digest
 
 
 def test_degree_check_reads_the_source_profile(monkeypatch):
@@ -174,9 +243,11 @@ def test_degree_check_reads_the_source_profile(monkeypatch):
         return DegreeProfile((prof.left[0] + 1, *prof.left[1:]), prof.right)
 
     monkeypatch.setattr(analysis, "degree_profile", high)
-    totals = _totals(check_splice_theorems(3, 3))
-    assert totals == {"product-count": 0, "reversal": 0,
-                      "degree-preservation": 1558, "order-bound": 0}
+    reports = check_splice_theorems(3, 3)
+    assert _totals(reports) == {"product-count": 0, "reversal": 0,
+                                "degree-preservation": 1558, "order-bound": 0}
+    assert _report_sha256(reports) == (
+        "54a5557b656a13b50653b614a8dd763787c50e589b650831b593814e8ac54d3f")
 
 
 def test_order_bound_check_catches_a_join_that_adds_a_vertex(monkeypatch):
@@ -191,6 +262,8 @@ def test_order_bound_check_catches_a_join_that_adds_a_vertex(monkeypatch):
     assert _totals(reports.values()) == {
         "product-count": 0, "reversal": 763, "degree-preservation": 1558,
         "order-bound": 363}
+    assert _report_sha256(reports.values()) == (
+        "5f19d8f8c260e87b9d6fa1330fcc00475c4c40262ba1bb32704ea0dd96d1641d")
 
 
 def test_splice_law_sweep_reports_only_its_laws():
