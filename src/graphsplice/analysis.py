@@ -194,8 +194,10 @@ def check_splice_theorems(max_order: int = 5, max_power: int = 3) -> list[Theore
     The degree law is checked once per fragment group, each side's
     degrees from _halves against its share of degree_profile; a product
     equal to its rebuild carries that result, and the pair's order and
-    size, by reversal.  From a pair's first reversal failure on, or for a
-    pair whose group check failed, each product's degrees are counted.
+    size, by reversal.  A pair's products meet their rebuilds in one
+    comparison, and the first that differs is sought only when it fails.
+    From a pair's first reversal failure on, or for a pair whose group
+    check failed, each product's degrees are counted.
     """
     corpus = list(graphs_up_to(max_order, cap=PAIR_SWEEP_CAP))
     combos = products = oversize = 0
@@ -238,12 +240,13 @@ def check_splice_theorems(max_order: int = 5, max_power: int = 3) -> list[Theore
             # or before ia - reflexive, and every shifted suffix edge at or
             # after ia + 1 - reflexive, so sorted(kept + welds) followed by
             # the sorted suffix edges is sorted(kept + welds + suffix).
+            # Each row also holds the group's fragment and row count.
             shifted = []
             for suf, (_, right, _, right_ends), ib, nb, rd, tail, suf_ok in suffix_parts:
                 shift = ia - ib
-                shifted.append((suf, nb, nb + shift, rd, tail,
-                                tuple(sorted([(u + shift, v + shift)
-                                              for u, v in right])),
+                edges = tuple(sorted([(u + shift, v + shift) for u, v in right]))
+                shifted.append((suf, suf.rep.suffix, len(suf.rows), nb, nb + shift,
+                                rd, tail, edges, len(edges),
                                 [a + shift for a in right_ends], suf_ok))
             for pre in group:
                 ca = pre.rep
@@ -258,26 +261,36 @@ def check_splice_theorems(max_order: int = 5, max_power: int = 3) -> list[Theore
                 # the group's source orders, for the order bound
                 orders = Counter(corpus[r].order for r in pre.rows)
                 na_min = min(orders)
-                for suf, nb, order, rd, tail, suffix_edges, ends, suf_ok in shifted:
-                    pairs = npre * len(suf.rows)
-                    built = splicing.join(ca.prefix, suf.rep.suffix)
-                    products += 2 * pairs * len(built)
-                    if len(built) != want:
+                for (suf, fragment, rows, nb, order, rd, tail, suffix_edges,
+                     suffix_size, ends, suf_ok) in shifted:
+                    pairs = npre * rows
+                    built = splicing.join(ca.prefix, fragment)
+                    n = len(built)
+                    products += 2 * pairs * n
+                    if n != want:
                         flag("count", pairs, pre, suf,
-                             f"got {len(built)} products, expected {want}")
-                    same = 0  # built[:same] equal their rebuilds
-                    for r, p in zip(bijections, built):
-                        edges = (tuple(sorted(kept + [(left_ends[t], ends[r[t]])
-                                                      for t in range(m)]))
-                                 if m else kept_edges) + suffix_edges
-                        if (p.order, p.edges) != (order, edges):
-                            flag("reversal", pairs, pre, suf,
-                                 f"bijection {r} joined to {p}")
-                            break
-                        same += 1
+                             f"got {n} products, expected {want}")
+                    rebuilt = ([(order, tuple(sorted(kept + [(left_ends[t], ends[r[t]])
+                                                             for t in range(m)]))
+                                 + suffix_edges) for r in bijections] if m else
+                               [(order, kept_edges + suffix_edges)])
+                    # built[:same] equal their rebuilds: one comparison for
+                    # the pair, and a scan for the first that differs only
+                    # when it fails
+                    if (n == want == 1 and (built[0].order, built[0].edges) == rebuilt[0]
+                            or [(p.order, p.edges) for p in built] == rebuilt):
+                        same = n
+                    else:
+                        same = 0
+                        for r, graph, p in zip(bijections, rebuilt, built):
+                            if (p.order, p.edges) != graph:
+                                flag("reversal", pairs, pre, suf,
+                                     f"bijection {r} joined to {p}")
+                                break
+                            same += 1
                     start = same if pre_ok and suf_ok else 0
-                    sizes = [(order, len(kept) + m + len(suffix_edges), start)]
-                    if start < len(built):
+                    sizes = [(order, len(kept) + m + suffix_size, start)]
+                    if start < n:
                         expected = ([*head, half + rd, *tail] if reflexive
                                     else head + tail)
                         for p in built[start:]:
@@ -293,7 +306,7 @@ def check_splice_theorems(max_order: int = 5, max_power: int = 3) -> list[Theore
                             continue
                         for na, k in orders.items():
                             bound = na + nb - 1
-                            weight = 2 * k * len(suf.rows) * times
+                            weight = 2 * k * rows * times
                             if p_order > bound:
                                 flag("bound", weight, pre, suf,
                                      f"order {p_order} exceeds {bound}")

@@ -33,7 +33,8 @@ class PlfGraph:
 
     Edges are normalized on construction: each pair is flipped to
     (min, max) and the whole tuple is sorted, so two equal graphs always
-    compare and hash equal.
+    compare and hash equal.  splicing.join builds its products already
+    in that form and skips these checks.
     """
 
     order: int
@@ -72,20 +73,6 @@ class PlfGraph:
             norm.append((u, v))
         norm.sort()
         object.__setattr__(self, "edges", tuple(norm))
-
-    @classmethod
-    def _from_sorted(cls, order: int, edges: tuple[Edge, ...]) -> "PlfGraph":
-        """A graph from a tuple of edges that is already what __post_init__
-        would produce: int order, sorted int pairs with 1 <= u < v <= order.
-        Nothing is checked, so only code that guarantees that may call it.
-        """
-        g = object.__new__(cls)
-        # the fields live in the instance dict, as for any dataclass
-        # without slots; writing it directly skips the frozen __setattr__
-        d = g.__dict__
-        d["order"] = order
-        d["edges"] = edges
-        return g
 
     @property
     def size(self) -> int:

@@ -33,11 +33,12 @@ from .graphs import PlfGraph
 
 # largest power join welds: a splice makes 2(m!) products, so each step
 # up multiplies time and memory by about m; two power-8 stars give 80,640
-# products in 1.4 s and 85 MB (2-core machine, Python 3.11).  The closure
-# builds one product per orbit of bijections, but finding the orbits
-# visits all m! bijections once per move pattern, so the cap bounds that
-# too: 0.35 s for a power-8 pair whose hanging edges all sit at one
-# anchor or at twin anchors, on the same machine
+# products through sigma_pair in 0.4 s and a 94 MB peak RSS (2-core
+# machine, Python 3.11).  The closure builds one product per orbit of
+# bijections, but finding the orbits visits all m! bijections once per
+# move pattern, so the cap bounds that too: 0.35 s for a power-8 pair
+# whose hanging edges all sit at one anchor or at twin anchors, on the
+# same machine
 SPLICE_POWER_CAP = 8
 
 
@@ -84,44 +85,47 @@ def join(prefix: Fragment, suffix: Fragment, *,
     Every product of an orbit is isomorphic to its first, so the first
     product of each isomorphism class is always built.
     """
-    m = len(prefix.hanging)
+    kind, _, end, intact, left, half = prefix
+    suffix_kind, start, last, suffix_intact, suffix_hanging, suffix_half = suffix
+    m = len(left)
     if m > SPLICE_POWER_CAP:
         raise CapExceededError(f"splice power {m} exceeds cap {SPLICE_POWER_CAP}")
-    if prefix.kind != "prefix" or suffix.kind != "suffix":
-        raise JoinError(
-            f"need a prefix and a suffix, got {prefix.kind} and {suffix.kind}"
-        )
-    if (prefix.half_vertex is None) != (suffix.half_vertex is None):
+    if kind != "prefix" or suffix_kind != "suffix":
+        raise JoinError(f"need a prefix and a suffix, got {kind} and {suffix_kind}")
+    if (half is None) != (suffix_half is None):
         raise JoinError("half-vertex present on only one side")
-    if len(suffix.hanging) != m:
-        raise JoinError(
-            f"hanging-edge counts differ: {m} vs {len(suffix.hanging)}"
-        )
-    merged = prefix.half_vertex is not None
-    offset = prefix.end - suffix.start + (0 if merged else 1)
-    order = suffix.end + offset
-    intact = [*prefix.intact,
-              *[(u + offset, v + offset) for u, v in suffix.intact]]
+    if len(suffix_hanging) != m:
+        raise JoinError(f"hanging-edge counts differ: {m} vs {len(suffix_hanging)}")
+    offset = end - start + (half is None)
+    order = last + offset
+    intact = [*intact, *[(u + offset, v + offset) for u, v in suffix_intact]]
+    ends = [()]  # the one bijection of no edges
+    if m:
+        right = [a + offset for a in suffix_hanging]
+        # permutations of right, like those of range(m), come in index order
+        ends = permutations(right)
+        if representatives and m > 1:
+            pre, suf = _fragment_moves(prefix), _fragment_moves(suffix)
+            if pre or suf:
+                ends = ([right[i] for i in r]
+                        for r in _orbit_representatives(m, pre, suf))
     # The products skip PlfGraph's validation, which is sound because
     # every edge already has 1 <= u < v <= order: intact comes from
     # validated graphs (suffix edges shift by the same offset as the
-    # suffix's own positions), every prefix anchor is at most prefix.end,
-    # and every shifted suffix anchor is above it.  Sorting is the one
-    # normalization left (hand-made fragments may be unsorted).
-    build = PlfGraph._from_sorted
-    if not m:
-        intact.sort()
-        return [build(order, tuple(intact))]
-    left = prefix.hanging
-    right = [a + offset for a in suffix.hanging]
-    # permutations of right, like those of range(m), come in index order
-    ends = permutations(right)
-    if representatives and m > 1:
-        pre, suf = _fragment_moves(prefix), _fragment_moves(suffix)
-        if pre or suf:
-            ends = ([right[i] for i in r]
-                    for r in _orbit_representatives(m, pre, suf))
-    return [build(order, tuple(sorted([*intact, *zip(left, e)]))) for e in ends]
+    # suffix's own positions), every prefix anchor is at most end, and
+    # every shifted suffix anchor is above it.  Sorting is the one
+    # normalization left (hand-made fragments may be unsorted).  This is
+    # the one place a PlfGraph is built unvalidated: its fields live in
+    # the instance dict, as for any dataclass without slots, and writing
+    # that dict skips the frozen __setattr__.
+    products = []
+    for e in ends:
+        edges = [*intact, *zip(left, e)] if m else intact
+        edges.sort()
+        g = object.__new__(PlfGraph)
+        g.__dict__["order"], g.__dict__["edges"] = order, tuple(edges)
+        products.append(g)
+    return products
 
 
 def _swap(m: int, pairs) -> tuple[int, ...]:

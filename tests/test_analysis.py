@@ -172,9 +172,15 @@ def test_reversal_check_catches_a_join_with_unsorted_edges(monkeypatch):
     # other order are a violation; the degrees do not see the order
     join = splicing.join
 
+    def unsorted(p):
+        # validation would sort the edges again, so the graph is built
+        # past it, as join builds its products
+        g = object.__new__(PlfGraph)
+        vars(g).update(order=p.order, edges=p.edges[::-1])
+        return g
+
     def reversed_edges(prefix, suffix):
-        return [PlfGraph._from_sorted(p.order, p.edges[::-1])
-                for p in join(prefix, suffix)]
+        return [unsorted(p) for p in join(prefix, suffix)]
 
     monkeypatch.setattr(splicing, "join", reversed_edges)
     reports = {r.check_id: r for r in check_splice_theorems(3, 3)}

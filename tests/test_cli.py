@@ -310,8 +310,8 @@ def test_splice_power_cap_exit(capsys, monkeypatch, tmp_path):
     def never(*args):
         raise AssertionError("join went past its cap check")
 
-    # join builds its products through PlfGraph._from_sorted
-    never._from_sorted = never
+    # join builds each product as object.__new__(PlfGraph), which raises
+    # TypeError when a function stands in for the class
     monkeypatch.setattr(splicing, "SPLICE_POWER_CAP", 2)
     monkeypatch.setattr(splicing, "permutations", never)
     monkeypatch.setattr(splicing, "PlfGraph", never)
@@ -416,6 +416,27 @@ def test_lang_order_past_the_stack_exits_4_at_once(tmp_path, command, files,
     assert proc.stdout == ""
     assert proc.stderr == (f"error: canonical form of order {order} is deeper "
                            "than the interpreter's stack\n")
+
+
+def test_cut_of_a_huge_order_exits_4_at_once(tmp_path):
+    # the power formulas of this 24-byte file would build a degree
+    # profile as long as its order, tens of GB; the child's address space
+    # is capped at 1 GB, so building it dies of MemoryError (exit 1)
+    # instead of exhausting the machine
+    source = tmp_path / "huge.plfg"
+    source.write_text("plfg 1\norder 1000000000\n")
+    assert source.stat().st_size == 24
+    cap = 1 << 30
+    proc = subprocess.run(
+        [sys.executable, "-m", "graphsplice", "cut", "--rule", "1,2",
+         str(source)],
+        capture_output=True, text=True, env=child_env(),
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
+    assert proc.returncode == 4
+    assert proc.stdout == ""
+    assert proc.stderr == ("error: order 1000000000 exceeds the power-formula "
+                           "cap 1000000\n")
 
 
 def test_iso_at_the_recursion_limit_exits_4(capsys, tmp_path):

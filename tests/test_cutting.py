@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 
 from graphsplice import (
+    CapExceededError,
     InvalidRuleError,
     PlfGraph,
     complete,
@@ -16,6 +17,7 @@ from graphsplice import (
     power_by_formula,
     valid_rules,
 )
+from graphsplice import cutting
 from graphsplice.cutting import CuttingRule, as_rule
 from conftest import graph_with_gap_rule, plf_graphs
 
@@ -155,6 +157,24 @@ def test_power_examples():
 def test_formula_rejects_reflexive_rule():
     with pytest.raises(InvalidRuleError):
         power_by_formula(path(3), (2, 2))
+
+
+def test_formula_refuses_an_order_past_its_cap(monkeypatch):
+    # the cap holds before degree_profile, whose lists are as long as
+    # the order, is built
+    real = cutting.degree_profile
+    monkeypatch.setattr(cutting, "FORMULA_ORDER_CAP", 4)
+    assert power_by_formula(path(4), (2, 3), "right") == 1
+
+    def never(g):
+        raise AssertionError("degree_profile built past the cap")
+
+    monkeypatch.setattr(cutting, "degree_profile", never)
+    for side in ("left", "right"):
+        with pytest.raises(CapExceededError,
+                           match="order 5 exceeds the power-formula cap 4"):
+            power_by_formula(path(5), (2, 3), side)
+    assert real(path(5)).gap_powers[2] == 1
 
 
 def test_cut_rejects_invalid_rule():

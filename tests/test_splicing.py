@@ -202,8 +202,8 @@ def test_join_refuses_a_mismatched_pair_before_building(monkeypatch):
     def no_product(*args):
         raise AssertionError("a product was built")
 
-    # join builds its products through PlfGraph._from_sorted
-    no_product._from_sorted = no_product
+    # join builds each product as object.__new__(PlfGraph), which raises
+    # TypeError, not JoinError, when a function stands in for the class
     monkeypatch.setattr(splicing, "PlfGraph", no_product)
     c3 = cut(cycle(3), (1, 2))
     k4 = cut(complete(4), (1, 2))
@@ -359,9 +359,11 @@ def test_twin_fragments_join_to_one_representative():
 
 
 def test_an_unvalidated_graph_is_frozen_and_equals_the_validated_one():
-    edges = ((1, 2), (1, 3), (2, 3), (3, 4))
-    g = PlfGraph._from_sorted(4, edges)
-    validated = PlfGraph(4, ((3, 4), (2, 1), (1, 3), (2, 3)))
+    # join builds its products past validation
+    res = cut(cycle(4), (2, 3))
+    _, g = join(res.prefix, res.suffix)
+    edges = ((1, 2), (1, 3), (2, 4), (3, 4))
+    validated = PlfGraph(4, ((3, 4), (2, 1), (1, 3), (2, 4)))
     assert g == validated and hash(g) == hash(validated)
     assert (g.order, g.edges, g.size) == (4, edges, 4)
     for name, value in (("order", 5), ("edges", ()), ("size", 0)):
