@@ -85,7 +85,7 @@ def join(prefix: Fragment, suffix: Fragment, *,
     Every product of an orbit is isomorphic to its first, so the first
     product of each isomorphism class is always built.
     """
-    kind, _, end, intact, left, half = prefix
+    kind, _, end, prefix_intact, left, half = prefix
     suffix_kind, start, last, suffix_intact, suffix_hanging, suffix_half = suffix
     m = len(left)
     if m > SPLICE_POWER_CAP:
@@ -98,7 +98,7 @@ def join(prefix: Fragment, suffix: Fragment, *,
         raise JoinError(f"hanging-edge counts differ: {m} vs {len(suffix_hanging)}")
     offset = end - start + (half is None)
     order = last + offset
-    intact = [*intact, *[(u + offset, v + offset) for u, v in suffix_intact]]
+    intact = [*prefix_intact, *[(u + offset, v + offset) for u, v in suffix_intact]]
     ends = [()]  # the one bijection of no edges
     if m:
         right = [a + offset for a in suffix_hanging]

@@ -119,7 +119,8 @@ def test_splice_law_sweep_joins_each_weldable_pair_once(monkeypatch):
         assert len(calls) == total
         sweep = calls[:-order * order]
         assert len(sweep) == len(set(sweep)) == distinct
-    # the pairs of a prefix and a suffix cut to one shape, power <= 3
+    # at order 4 those are the pairs of a prefix and a suffix cut to one
+    # shape, of power at most 3
     cuts = [c for g in graphs_up_to(4) for c in (cut(g, r) for r in valid_rules(g))
             if c.power <= 3]
     assert set(sweep) == {(a.prefix, b.suffix)
