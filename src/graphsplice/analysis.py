@@ -195,9 +195,15 @@ def check_splice_theorems(max_order: int = 5, max_power: int = 3) -> list[Theore
     degrees from _halves against its share of degree_profile; a product
     equal to its rebuild carries that result, and the pair's order and
     size, by reversal.  A pair's products meet their rebuilds in one
-    comparison, and the first that differs is sought only when it fails.
-    From a pair's first reversal failure on, or for a pair whose group
-    check failed, each product's degrees are counted.
+    comparison.  A clean pair, whose products equal their rebuilds, whose
+    groups passed the degree check and whose rebuilt order and size are
+    within na_min + nb - 1 (the smallest bound of its prefix group's
+    source orders), flags nothing, so it only adds its rows to its prefix
+    group's tally, and products grows by 2 * npre * m! * tally once per
+    group.  Any other pair runs the count, reversal, degree, bound and
+    oversize checks in that order: the first product that differs from
+    its rebuild is sought, and from it on, or for every product when a
+    group check failed, each product's degrees are counted.
     """
     corpus = list(graphs_up_to(max_order, cap=PAIR_SWEEP_CAP))
     combos = products = oversize = 0
@@ -261,24 +267,31 @@ def check_splice_theorems(max_order: int = 5, max_power: int = 3) -> list[Theore
                 # the group's source orders, for the order bound
                 orders = Counter(corpus[r].order for r in pre.rows)
                 na_min = min(orders)
+                tally = 0  # rows of the clean pairs, which flag nothing
                 for (suf, fragment, rows, nb, order, rd, tail, suffix_edges,
                      suffix_size, ends, suf_ok) in shifted:
-                    pairs = npre * rows
                     built = splicing.join(ca.prefix, fragment)
                     n = len(built)
-                    products += 2 * pairs * n
-                    if n != want:
-                        flag("count", pairs, pre, suf,
-                             f"got {n} products, expected {want}")
                     rebuilt = ([(order, tuple(sorted(kept + [(left_ends[t], ends[r[t]])
                                                              for t in range(m)]))
                                  + suffix_edges) for r in bijections] if m else
                                [(order, kept_edges + suffix_edges)])
-                    # built[:same] equal their rebuilds: one comparison for
-                    # the pair, and a scan for the first that differs only
-                    # when it fails
-                    if (n == want == 1 and (built[0].order, built[0].edges) == rebuilt[0]
-                            or [(p.order, p.edges) for p in built] == rebuilt):
+                    # one comparison for the pair; a pair that is not
+                    # clean and fails it is scanned for the first product
+                    # that differs, so that built[:same] equal their rebuilds
+                    same = (n == want == 1 and (built[0].order, built[0].edges) == rebuilt[0]
+                            or [(p.order, p.edges) for p in built] == rebuilt)
+                    low = na_min + nb - 1  # the smallest bound of any source order
+                    size = len(kept) + m + suffix_size
+                    if same and pre_ok and suf_ok and order <= low and size <= low:
+                        tally += rows
+                        continue
+                    pairs = npre * rows
+                    products += 2 * pairs * n
+                    if n != want:
+                        flag("count", pairs, pre, suf,
+                             f"got {n} products, expected {want}")
+                    if same:
                         same = n
                     else:
                         same = 0
@@ -289,7 +302,7 @@ def check_splice_theorems(max_order: int = 5, max_power: int = 3) -> list[Theore
                                 break
                             same += 1
                     start = same if pre_ok and suf_ok else 0
-                    sizes = [(order, len(kept) + m + suffix_size, start)]
+                    sizes = [(order, size, start)]
                     if start < n:
                         expected = ([*head, half + rd, *tail] if reflexive
                                     else head + tail)
@@ -300,7 +313,6 @@ def check_splice_theorems(max_order: int = 5, max_power: int = 3) -> list[Theore
                                      f"degrees {tuple(deg[1:])}, "
                                      f"expected {tuple(expected)}")
                             sizes.append((p.order, len(p.edges), 1))
-                    low = na_min + nb - 1  # the smallest bound of any source order
                     for p_order, size, times in sizes:
                         if not times or p_order <= low and size <= low:
                             continue
@@ -312,6 +324,7 @@ def check_splice_theorems(max_order: int = 5, max_power: int = 3) -> list[Theore
                                      f"order {p_order} exceeds {bound}")
                             if size > bound:
                                 oversize += weight
+                products += 2 * npre * want * tally
 
     by_order = Counter(g.order for g in corpus)
     first = {}
@@ -319,8 +332,8 @@ def check_splice_theorems(max_order: int = 5, max_power: int = 3) -> list[Theore
         first.setdefault(g.order, g)
     for na, ga in first.items():
         for nb, gb in first.items():
-            [widest] = splicing.join(cut(ga, (na, na)).prefix, cut(gb, (1, 1)).suffix)
-            if widest.order != na + nb - 1:
+            widest = splicing.join(cut(ga, (na, na)).prefix, cut(gb, (1, 1)).suffix)
+            if not widest or widest[0].order != na + nb - 1:
                 counts["bound"] += by_order[na] * by_order[nb]
                 if len(samples["bound"]) < SAMPLE_CAP:
                     samples["bound"].append((
@@ -376,12 +389,21 @@ def _regularity_report() -> TheoremReport:
     with one 2r-degree vertex).  Gap-rule products always inherit
     r-regularity because every vertex keeps its source degree.  The
     report tallies the reflexive exceptions instead of hiding them.
+
+    Each distinct (prefix, suffix) pair is joined once and its verdict
+    kept: its product count and the (bijection, product) pairs that are
+    not r-regular, every product judged by is_regular once.  Each cut
+    combination adds the count to the instances and the failing list to
+    the totals, and draws samples from that list until SAMPLE_CAP.
     """
     corpus = [cycle(3), cycle(4), cycle(5), cycle(6), complete(4), complete(5)]
     tables = [(g, is_regular(g), [cut(g, c) for c in valid_rules(g)])
               for g in corpus]
-    # (prefix, suffix) -> (product, is_regular) per product, shared by
-    # (g, h) and (h, g)
+    # (prefix, suffix) -> (product count, the (bijection, product) pairs
+    # whose regularity differs from the operands'), shared by (g, h) and
+    # (h, g).  A pair fixes the operands' degree: every fragment but the
+    # lone half-vertex of [1,1] or [n,n] keeps a whole source vertex, and
+    # those two weld to one 0-regular vertex, against degrees 2 to 4 here
     verdicts: dict = {}
     instances = 0
     total = 0
@@ -397,25 +419,24 @@ def _regularity_report() -> TheoremReport:
                     for direction, pre, suf in directions(cg, ch):
                         key = (pre, suf)
                         if key not in verdicts:
-                            verdicts[key] = [(p, is_regular(p))
-                                             for p in splicing.join(pre, suf)]
-                        instances += len(verdicts[key])
-                        # join's products come in the bijection order of
-                        # permutations, so each verdict pairs with its r
-                        for r, (prod, ok) in zip(permutations(range(cg.power)),
-                                                 verdicts[key]):
-                            if ok == rg:
-                                continue
-                            total += 1
-                            gap_rule_total += gap
-                            if len(samples) < SAMPLE_CAP:
-                                samples.append((
-                                    f"{g} with {h}, rule "
-                                    f"{SplicingRule(cg.rule, ch.rule)}, "
-                                    f"direction {direction}, bijection {r}",
-                                    f"{rg}-regular product",
-                                    f"degrees {degree_profile(prod).total}",
-                                ))
+                            # join's products come in the bijection order
+                            # of permutations, so each pairs with its r
+                            built = splicing.join(pre, suf)
+                            verdicts[key] = (len(built), [
+                                (r, p) for r, p in zip(permutations(range(cg.power)), built)
+                                if is_regular(p) != rg])
+                        n, failing = verdicts[key]
+                        instances += n
+                        total += len(failing)
+                        gap_rule_total += gap * len(failing)
+                        for r, prod in failing[:SAMPLE_CAP - len(samples)]:
+                            samples.append((
+                                f"{g} with {h}, rule "
+                                f"{SplicingRule(cg.rule, ch.rule)}, "
+                                f"direction {direction}, bijection {r}",
+                                f"{rg}-regular product",
+                                f"degrees {degree_profile(prod).total}",
+                            ))
     return _report("regularity-preservation", instances, total, samples,
                    {"gap_rule_violations": gap_rule_total,
                     "note": "all violations come from reflexive rule "

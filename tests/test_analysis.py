@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -127,6 +129,32 @@ def test_splice_law_sweep_joins_each_weldable_pair_once(monkeypatch):
                           for a in cuts for b in cuts if a.shape == b.shape}
 
 
+def test_splice_law_sweep_memory_stays_per_pair():
+    # The sweep holds its corpus and fragment index plus one pair's
+    # products and rebuilds at a time.  On Python 3.11 the peak was 1.28
+    # to 1.30 times what the corpus and index hold, and 1.54 to 1.57 when
+    # a prefix group's joins were all built before any was checked.  The
+    # bound leaves room for the index to weigh a third less on another
+    # Python with the same transient bytes.
+    def traced(run):
+        # (current, peak) bytes, read while run's result is still held
+        gc.collect()
+        tracemalloc.start()
+        try:
+            result = run()  # noqa: F841
+            return tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+
+    def corpus_and_index():
+        corpus = list(graphs_up_to(4))
+        return corpus, analysis._cut_groups(corpus, 3)
+
+    held, _ = traced(corpus_and_index)
+    _, peak = traced(lambda: check_splice_theorems(4, 3))
+    assert peak <= 1.5 * held
+
+
 def _totals(reports):
     return {r.check_id: r.extras.get("violations_total", 0) for r in reports}
 
@@ -240,6 +268,25 @@ def test_count_check_catches_a_join_with_the_wrong_product_count(
     assert _report_sha256(reports) == digest
 
 
+def test_count_check_reports_a_power0_pair_with_two_products(monkeypatch):
+    # every pair gains a copy of its last product, power 0 included, so
+    # the order-bound witnesses, which are power-0 pairs, get two
+    # products each: the witness reads the first and the sweep reports
+    # every combo as a count violation
+    join = splicing.join
+
+    def repeated(prefix, suffix):
+        built = join(prefix, suffix)
+        return [*built, built[-1]]
+
+    monkeypatch.setattr(splicing, "join", repeated)
+    reports = check_splice_theorems(3, 3)
+    assert _totals(reports) == {"product-count": 763, "reversal": 0,
+                                "degree-preservation": 0, "order-bound": 0}
+    assert _report_sha256(reports) == (
+        "ccb60a5e9ed646264d74b871e3939d8985d5dbd9c2d4281738d3a21e67d58a7e")
+
+
 def test_degree_check_reads_the_source_profile(monkeypatch):
     # the products are right and only the expected degrees are off, so
     # every product fails the degree law while reversal still holds
@@ -284,6 +331,24 @@ def test_regularity_exceptions_are_all_reflexive():
     assert reg.status == "violated"
     assert reg.extras["violations_total"] == 104
     assert reg.extras["gap_rule_violations"] == 0
+
+
+def test_regularity_report_joins_each_pair_once(monkeypatch):
+    # 7,288 instances over all cut combinations come from 3,306 products
+    # of 178 distinct (prefix, suffix) pairs, each joined once
+    calls = []
+    join = splicing.join
+
+    def counted(prefix, suffix):
+        built = join(prefix, suffix)
+        calls.append(((prefix, suffix), len(built)))
+        return built
+
+    monkeypatch.setattr(splicing, "join", counted)
+    reg = analysis._regularity_report()
+    assert len(calls) == len(dict(calls)) == 178
+    assert sum(n for _pair, n in calls) == 3306
+    assert reg.instances_checked == 7288
 
 
 def test_regularity_report_matches_the_sigma_pair_oracle():
