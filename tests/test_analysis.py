@@ -129,6 +129,25 @@ def test_splice_law_sweep_joins_each_weldable_pair_once(monkeypatch):
                           for a in cuts for b in cuts if a.shape == b.shape}
 
 
+def test_splice_law_sweep_counts_degrees_once_per_fragment_group(monkeypatch):
+    # a pair whose products equal their rebuilds carries its groups'
+    # degree checks, so a sweep that finds nothing wrong counts degrees
+    # once per prefix group and once per suffix group, never per product
+    calls = []
+    degrees = analysis.degrees
+
+    def counted(*args):
+        calls.append(args)
+        return degrees(*args)
+
+    monkeypatch.setattr(analysis, "degrees", counted)
+    for order, groups in ((3, 54), (4, 410)):
+        calls.clear()
+        check_splice_theorems(order, 3)
+        index = analysis._cut_groups(list(graphs_up_to(order)), 3)
+        assert len(calls) == groups == sum(len(p) + len(s) for p, s in index.values())
+
+
 def test_splice_law_sweep_memory_stays_per_pair():
     # The sweep holds its corpus and fragment index plus one pair's
     # products and rebuilds at a time.  On Python 3.11 the peak was 1.28
@@ -239,6 +258,30 @@ def test_degree_check_catches_a_join_that_drops_an_edge(monkeypatch):
 def test_degree_check_catches_a_drop_from_the_last_product_only(monkeypatch):
     _check_drop(monkeypatch, _last_lossy, 522, 1044,
                 "005f4cef070436022fb77d5d4750206fc21858985848503dbb6cf25f6d81fea9")
+
+
+def test_degree_check_catches_a_drop_from_the_oversize_products(monkeypatch):
+    # Only products with more edges than vertices lose an edge, so every
+    # pair holding one fails reversal and runs the per-product loop.
+    # Order 3 has 2 such products, hence order 4 here.
+    # pairwise_law_sweep(list(graphs_up_to(4)), 3) gives (52,627, 129,094,
+    # 666, 12,640) under this mutation; it takes seconds, so it is cited
+    # here rather than run.
+    join = splicing.join
+
+    def trimmed(prefix, suffix):
+        return [PlfGraph(p.order, p.edges[:-1]) if len(p.edges) > p.order else p
+                for p in join(prefix, suffix)]
+
+    monkeypatch.setattr(splicing, "join", trimmed)
+    reports = check_splice_theorems(4, 3)
+    assert _totals(reports) == {"product-count": 0, "reversal": 3601,
+                                "degree-preservation": 12640, "order-bound": 0}
+    bound = reports[-1]
+    assert (bound.instances_checked, bound.extras["oversize_edge_counts"]) == (
+        129094, 666)
+    assert _report_sha256(reports) == (
+        "ac0887e7729fdb3c1546e8d3cab31f2853d85933af0c64b5ca7ec73c87932345")
 
 
 def _short(prefix, suffix, join=splicing.join):
