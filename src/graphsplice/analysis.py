@@ -192,18 +192,19 @@ def check_splice_theorems(max_order: int = 5, max_power: int = 3) -> list[Theore
     operand orders checks it.
 
     The degree law is checked once per fragment group, each side's
-    degrees from _halves against its share of degree_profile; a product
-    equal to its rebuild carries that result, and the pair's order and
-    size, by reversal.  A pair's products meet their rebuilds in one
-    comparison.  A clean pair, whose products equal their rebuilds, whose
-    groups passed the degree check and whose rebuilt order and size are
-    within na_min + nb - 1 (the smallest bound of its prefix group's
-    source orders), flags nothing, so it only adds its rows to its prefix
-    group's tally, and products grows by 2 * npre * m! * tally once per
-    group.  Any other pair runs the count, reversal, degree, bound and
-    oversize checks in that order: the first product that differs from
-    its rebuild is sought, and from it on, or for every product when a
-    group check failed, each product's degrees are counted.
+    degrees from _halves against its share of degree_profile.  A pair
+    then takes one of two routes.  It is clean when both of its groups
+    passed that check and its products equal their rebuilds, in one
+    comparison.  A clean pair flags nothing: each product has its
+    rebuild's degrees, by the group checks, and its rebuild's order
+    nb + ia - ib, which is at most na + nb - 1 for every source order na
+    of the prefix group because ia <= na and ib >= 1, so the order bound
+    cannot fail on it.  It only adds its products and, for each source
+    order whose bound its rebuilt edge count exceeds, its oversize
+    tally.  Every other pair runs a plain loop: the count check, the
+    first product that differs from its rebuild, then each product's
+    degrees, order bound and edge count.  Samples are kept per law, so
+    each law's samples follow the sweep order.
     """
     corpus = list(graphs_up_to(max_order, cap=PAIR_SWEEP_CAP))
     combos = products = oversize = 0
@@ -267,64 +268,52 @@ def check_splice_theorems(max_order: int = 5, max_power: int = 3) -> list[Theore
                 # the group's source orders, for the order bound
                 orders = Counter(corpus[r].order for r in pre.rows)
                 na_min = min(orders)
-                tally = 0  # rows of the clean pairs, which flag nothing
                 for (suf, fragment, rows, nb, order, rd, tail, suffix_edges,
                      suffix_size, ends, suf_ok) in shifted:
                     built = splicing.join(ca.prefix, fragment)
                     n = len(built)
+                    pairs = npre * rows
+                    products += 2 * pairs * n
                     rebuilt = ([(order, tuple(sorted(kept + [(left_ends[t], ends[r[t]])
                                                              for t in range(m)]))
                                  + suffix_edges) for r in bijections] if m else
                                [(order, kept_edges + suffix_edges)])
-                    # one comparison for the pair; a pair that is not
-                    # clean and fails it is scanned for the first product
-                    # that differs, so that built[:same] equal their rebuilds
-                    same = (n == want == 1 and (built[0].order, built[0].edges) == rebuilt[0]
-                            or [(p.order, p.edges) for p in built] == rebuilt)
-                    low = na_min + nb - 1  # the smallest bound of any source order
-                    size = len(kept) + m + suffix_size
-                    if same and pre_ok and suf_ok and order <= low and size <= low:
-                        tally += rows
+                    # clean: both group checks passed and the products
+                    # equal their rebuilds, in one comparison.  Each
+                    # product then has its rebuild's degrees and order,
+                    # and that order is within every bound, so only an
+                    # edge count can exceed one.
+                    if pre_ok and suf_ok and (
+                            n == want == 1 and (built[0].order, built[0].edges) == rebuilt[0]
+                            or [(p.order, p.edges) for p in built] == rebuilt):
+                        size = len(kept) + m + suffix_size
+                        if size >= na_min + nb:
+                            for na, k in orders.items():
+                                if size > na + nb - 1:
+                                    oversize += 2 * k * rows * n
                         continue
-                    pairs = npre * rows
-                    products += 2 * pairs * n
                     if n != want:
                         flag("count", pairs, pre, suf,
                              f"got {n} products, expected {want}")
-                    if same:
-                        same = n
-                    else:
-                        same = 0
-                        for r, graph, p in zip(bijections, rebuilt, built):
-                            if (p.order, p.edges) != graph:
-                                flag("reversal", pairs, pre, suf,
-                                     f"bijection {r} joined to {p}")
-                                break
-                            same += 1
-                    start = same if pre_ok and suf_ok else 0
-                    sizes = [(order, size, start)]
-                    if start < n:
-                        expected = ([*head, half + rd, *tail] if reflexive
-                                    else head + tail)
-                        for p in built[start:]:
-                            deg = degrees(p.order, p.edges)
-                            if deg[1:] != expected:
-                                flag("degree", 2 * pairs, pre, suf,
-                                     f"degrees {tuple(deg[1:])}, "
-                                     f"expected {tuple(expected)}")
-                            sizes.append((p.order, len(p.edges), 1))
-                    for p_order, size, times in sizes:
-                        if not times or p_order <= low and size <= low:
-                            continue
+                    for r, graph, p in zip(bijections, rebuilt, built):
+                        if (p.order, p.edges) != graph:
+                            flag("reversal", pairs, pre, suf,
+                                 f"bijection {r} joined to {p}")
+                            break
+                    expected = [*head, half + rd, *tail] if reflexive else head + tail
+                    for p in built:
+                        deg = degrees(p.order, p.edges)
+                        if deg[1:] != expected:
+                            flag("degree", 2 * pairs, pre, suf,
+                                 f"degrees {tuple(deg[1:])}, "
+                                 f"expected {tuple(expected)}")
                         for na, k in orders.items():
                             bound = na + nb - 1
-                            weight = 2 * k * rows * times
-                            if p_order > bound:
-                                flag("bound", weight, pre, suf,
-                                     f"order {p_order} exceeds {bound}")
-                            if size > bound:
-                                oversize += weight
-                products += 2 * npre * want * tally
+                            if p.order > bound:
+                                flag("bound", 2 * k * rows, pre, suf,
+                                     f"order {p.order} exceeds {bound}")
+                            if len(p.edges) > bound:
+                                oversize += 2 * k * rows
 
     by_order = Counter(g.order for g in corpus)
     first = {}
