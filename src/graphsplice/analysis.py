@@ -278,11 +278,8 @@ def check_splice_theorems(max_order: int = 5, max_power: int = 3) -> list[Theore
                                                              for t in range(m)]))
                                  + suffix_edges) for r in bijections] if m else
                                [(order, kept_edges + suffix_edges)])
-                    # clean: both group checks passed and the products
-                    # equal their rebuilds, in one comparison.  Each
-                    # product then has its rebuild's degrees and order,
-                    # and that order is within every bound, so only an
-                    # edge count can exceed one.
+                    # a clean pair, as the docstring says, flags nothing:
+                    # only its edge count can exceed a bound
                     if pre_ok and suf_ok and (
                             n == want == 1 and (built[0].order, built[0].edges) == rebuilt[0]
                             or [(p.order, p.edges) for p in built] == rebuilt):
