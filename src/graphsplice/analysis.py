@@ -6,13 +6,19 @@ rest fixed witnesses); each compares engine output against an independent
 oracle (direct counting, DFS, 2-coloring, edge lists rebuilt apart from
 join).  Asserted laws must hold with zero violations; converse directions
 that are false for some layouts are tallied in a report's extras instead.
+
+verify_all builds one _Corpus per call and every sweep reads it: each
+graph up to the pair sweeps' order cap is enumerated once and cut once
+by every rule, for all six sweeps.  A checker called alone enumerates
+and cuts for itself.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import permutations
+from functools import partial
+from itertools import chain, permutations, repeat
 from math import factorial
 
 from . import splicing
@@ -74,24 +80,51 @@ def _report(check_id, instances, violation_count, samples, extras=None):
                          status, extras)
 
 
-def graphs_up_to(max_order: int, cap: int = ENUMERATION_CAP):
-    """Every labeled simple graph of order 1..max_order."""
+def graphs_up_to(max_order: int, cap: int = ENUMERATION_CAP, start: int = 1):
+    """Every labeled simple graph of order start..max_order."""
     if max_order > cap:
         raise CapExceededError(
             f"sweep order {max_order} exceeds cap {cap}"
         )
-    for n in range(1, max_order + 1):
+    for n in range(start, max_order + 1):
         yield from enumerate_simple_graphs(n)
 
 
-def check_power_formula(max_order: int = 5) -> TheoremReport:
+class _Corpus:
+    """What one verify_all call enumerates and cuts once for all its
+    sweeps: graphs, every graph of order at most min(max_order,
+    PAIR_SWEEP_CAP) in graphs_up_to order, and cuts, where cuts[row]
+    holds the cuts of graphs[row] by every rule of valid_rules, gap
+    rules first.  Only the linear sweeps read past that order, and
+    _stream enumerates those graphs anew for each, so their graphs and
+    cuts are never held: a cut of order 5 holds about 0.6 KB, and order 6
+    has 360,448 of them.
+    """
+
+    def __init__(self, max_order: int):
+        self.graphs = list(graphs_up_to(min(max_order, PAIR_SWEEP_CAP)))
+        self.cuts = [[cut(g, r) for r in valid_rules(g)] for g in self.graphs]
+
+
+def _stream(max_order: int, corpus: _Corpus | None):
+    """(graph, its cuts or None) for every graph of order 1..max_order:
+    the corpus's graphs with their cuts, then the graphs of any higher
+    order, enumerated anew, whose cuts are the caller's to make."""
+    held = zip(corpus.graphs, corpus.cuts) if corpus else ()
+    start = PAIR_SWEEP_CAP + 1 if corpus else 1
+    return chain(held, zip(graphs_up_to(max_order, start=start), repeat(None)))
+
+
+def check_power_formula(max_order: int = 5, corpus: _Corpus | None = None) -> TheoremReport:
     """Severed-edge count of every gap rule equals both degree formulas."""
     instances = 0
     violations = []
-    for g in graphs_up_to(max_order):
-        for rule in valid_rules(g, include_reflexive=False):
+    for g, cuts in _stream(max_order, corpus):
+        gaps = valid_rules(g, include_reflexive=False)
+        # valid_rules lists the gap rules first, so zip stops after them
+        for rule, c in zip(gaps, cuts or map(partial(cut, g), gaps)):
             instances += 1
-            direct = cut(g, rule).power
+            direct = c.power
             left = power_by_formula(g, rule, "left")
             right = power_by_formula(g, rule, "right")
             if not direct == left == right:
@@ -102,13 +135,13 @@ def check_power_formula(max_order: int = 5) -> TheoremReport:
     return _report("power-formula", instances, len(violations), violations)
 
 
-def check_degree_balance(max_order: int = 5) -> TheoremReport:
+def check_degree_balance(max_order: int = 5, corpus: _Corpus | None = None) -> TheoremReport:
     """Right and left degrees balance: their difference sums to zero, each
     side alone counts the edges, and each position's split matches
     PlfGraph.left_degree and right_degree, counted apart from it."""
     instances = 0
     violations = []
-    for g in graphs_up_to(max_order):
+    for g, _ in _stream(max_order, corpus):
         instances += 1
         prof = degree_profile(g)
         diff = sum(r - l for l, r in zip(prof.left, prof.right))
@@ -132,18 +165,18 @@ _LAW_EXPECTATIONS = {
 }
 
 
-def _cut_groups(graphs, max_power: int | None = None):
-    """Cut every graph by every rule once and file each cut of power at
-    most max_power by splicing.file_cut, with the graph's corpus index
-    as its row.
+def _cut_groups(graphs, max_power: int | None = None, cuts=None):
+    """File every cut of every graph of power at most max_power by
+    splicing.file_cut, with the graph's index in graphs as its row.
+    cuts[row] holds the cuts of graphs[row] by every rule of
+    valid_rules; without it each graph is cut here.
 
     Returns {shape: (prefix groups, suffix groups)}, each side's groups
     in filing order.
     """
     index: dict = {}
     for row, g in enumerate(graphs):
-        for rule in valid_rules(g):
-            c = cut(g, rule)
+        for c in cuts[row] if cuts else map(partial(cut, g), valid_rules(g)):
             if max_power is None or c.power <= max_power:
                 file_cut(index, c, row)
     return {k: (list(p.values()), list(s.values())) for k, (p, s) in index.items()}
@@ -167,7 +200,8 @@ def _halves(g: PlfGraph, i: int, reflexive: bool):
     return left, right, left_ends, right_ends
 
 
-def check_splice_theorems(max_order: int = 5, max_power: int = 3) -> list[TheoremReport]:
+def check_splice_theorems(max_order: int = 5, max_power: int = 3,
+                          corpus: _Corpus | None = None) -> list[TheoremReport]:
     """Product-law sweep: the product-count, reversal, degree-preservation
     and order-bound reports, in that order.
 
@@ -206,7 +240,7 @@ def check_splice_theorems(max_order: int = 5, max_power: int = 3) -> list[Theore
     degrees, order bound and edge count.  Samples are kept per law, so
     each law's samples follow the sweep order.
     """
-    corpus = list(graphs_up_to(max_order, cap=PAIR_SWEEP_CAP))
+    graphs = corpus.graphs if corpus else list(graphs_up_to(max_order, cap=PAIR_SWEEP_CAP))
     combos = products = oversize = 0
     counts = {"count": 0, "reversal": 0, "degree": 0, "bound": 0}
     samples: dict[str, list] = {k: [] for k in counts}
@@ -220,7 +254,8 @@ def check_splice_theorems(max_order: int = 5, max_power: int = 3) -> list[Theore
                 _LAW_EXPECTATIONS[kind], detail,
             ))
 
-    for (m, unsplit), (pres, sufs) in _cut_groups(corpus, max_power).items():
+    for (m, unsplit), (pres, sufs) in _cut_groups(graphs, max_power,
+                                                  corpus and corpus.cuts).items():
         reflexive = not unsplit
         combos += sum(len(pre.rows) for pre in pres) ** 2
         bijections = list(permutations(range(m)))
@@ -266,7 +301,7 @@ def check_splice_theorems(max_order: int = 5, max_power: int = 3) -> list[Theore
                 pre_ok = degrees(ia, kept, left_ends)[1:] == head + [half] * reflexive
                 npre = len(pre.rows)
                 # the group's source orders, for the order bound
-                orders = Counter(corpus[r].order for r in pre.rows)
+                orders = Counter(graphs[r].order for r in pre.rows)
                 na_min = min(orders)
                 for (suf, fragment, rows, nb, order, rd, tail, suffix_edges,
                      suffix_size, ends, suf_ok) in shifted:
@@ -312,10 +347,8 @@ def check_splice_theorems(max_order: int = 5, max_power: int = 3) -> list[Theore
                             if len(p.edges) > bound:
                                 oversize += 2 * k * rows
 
-    by_order = Counter(g.order for g in corpus)
-    first = {}
-    for g in corpus:
-        first.setdefault(g.order, g)
+    by_order = Counter(g.order for g in graphs)
+    first = {n: next(g for g in graphs if g.order == n) for n in by_order}
     for na, ga in first.items():
         for nb, gb in first.items():
             widest = splicing.join(cut(ga, (na, na)).prefix, cut(gb, (1, 1)).suffix)
@@ -328,7 +361,7 @@ def check_splice_theorems(max_order: int = 5, max_power: int = 3) -> list[Theore
                     ))
 
     sweep_note = {
-        "pairs": len(corpus) ** 2,
+        "pairs": len(graphs) ** 2,
         "combos": combos,
         "products_built": products,
         "max_power": max_power,
@@ -496,14 +529,14 @@ def cycle_certificate(g: PlfGraph) -> CycleCertificate | None:
     return None
 
 
-def check_cycle_theorem(max_order: int = 6) -> TheoremReport:
+def check_cycle_theorem(max_order: int = 6, corpus: _Corpus | None = None) -> TheoremReport:
     """Cyclic graphs always carry a certificate (asserted); acyclic
     graphs that also carry one are tallied, not failed."""
     instances = 0
     violations = []
     exceptions = 0
     exception_samples = []
-    for g in graphs_up_to(max_order):
+    for g, _ in _stream(max_order, corpus):
         instances += 1
         cyclic = has_cycle(g)
         cert = cycle_certificate(g)
@@ -522,34 +555,45 @@ def check_cycle_theorem(max_order: int = 6) -> TheoremReport:
                     "converse_samples": exception_samples})
 
 
-def check_iso_splice(max_order: int = 5) -> TheoremReport:
+def check_iso_splice(max_order: int = 5, corpus: _Corpus | None = None) -> TheoremReport:
     """Splicing two isomorphic graphs: a product isomorphic to them must
     keep their order (asserted; immediate since isomorphism preserves
     order), and equal-order products that fail to be isomorphic are
     tallied as converse exceptions.
 
     Runs like the product-law sweep, one isomorphism class at a time:
-    the members are cut once and filed by splicing.file_cut within the
-    class.  N cuts of one shape and power m make N^2 ordered pairs of
-    2(m!) products each, and all of them count as instances.  A prefix
-    cut at position ia welded to a suffix cut at ib gives order
+    the members' cuts, made once per graph for the whole sweep (or read
+    from the corpus verify_all shares), are filed by splicing.file_cut
+    within the class.  N cuts of one shape and power m make N^2 ordered
+    pairs of 2(m!) products each, and all of them count as instances.
+    A prefix cut at position ia welded to a suffix cut at ib gives order
     n + ia - ib, and within one shape ia = ib means one cutting rule, so
-    join runs only on pairs of groups cut by the same rule, with every
+    only pairs of groups cut by the same rule are judged, with every
     tally weighted by the combos sharing the pair; every product of
     another pair has another order and is not isomorphic to the
-    operands.  Each class files its own index, so a fragment pair found
-    in several classes is joined once per class.
+    operands.  A fragment pair found in several classes is joined once:
+    the canonical keys of its products are kept, and each class compares
+    them with its own key.  A pair joined while an exception sample is
+    still due keeps its products too, for the samples of later classes;
+    the samples fill early, so the other pairs keep keys only.
     """
-    classes: dict[bytes, list[PlfGraph]] = {}
-    for g in graphs_up_to(max_order, cap=PAIR_SWEEP_CAP):
-        classes.setdefault(canonical_form(g), []).append(g)
+    graphs = corpus.graphs if corpus else list(graphs_up_to(max_order, cap=PAIR_SWEEP_CAP))
+    classes: dict[bytes, list[int]] = {}
+    for row, g in enumerate(graphs):
+        classes.setdefault(canonical_form(g), []).append(row)
 
     instances = 0
     same_order = 0
     exceptions = 0
     exception_samples = []
-    for key, members in classes.items():
-        for (m, _), (pres, sufs) in _cut_groups(members).items():
+    # (prefix, suffix) -> its products' canonical keys; kept holds the
+    # products of a pair joined while a sample was due, the only pairs a
+    # later sample can come from
+    joined: dict = {}
+    kept: dict = {}
+    for key, rows in classes.items():
+        held = corpus and [corpus.cuts[r] for r in rows]
+        for (m, _), (pres, sufs) in _cut_groups([graphs[r] for r in rows], None, held).items():
             # each cut files one prefix, so the prefix groups' rows are N
             instances += 2 * factorial(m) * sum(len(pre.rows) for pre in pres) ** 2
             for pre in pres:
@@ -559,31 +603,37 @@ def check_iso_splice(max_order: int = 5) -> TheoremReport:
                     if ca.rule != cb.rule:
                         continue
                     weight = 2 * len(pre.rows) * len(suf.rows)
-                    for p in splicing.join(ca.prefix, cb.suffix):
-                        same_order += weight
-                        if canonical_form(p) != key:
-                            exceptions += weight
-                            if len(exception_samples) < SAMPLE_CAP:
-                                exception_samples.append(
-                                    f"{ca.graph} with {cb.graph} rules "
-                                    f"{(ca.rule.i, ca.rule.j)}:"
-                                    f"{(cb.rule.i, cb.rule.j)} gave {p}"
-                                )
+                    pair = (ca.prefix, cb.suffix)
+                    if pair not in joined:
+                        built = splicing.join(*pair)
+                        joined[pair] = tuple(map(canonical_form, built))
+                        if len(exception_samples) < SAMPLE_CAP:
+                            kept[pair] = built
+                    found = joined[pair]
+                    same_order += weight * len(found)
+                    exceptions += weight * (len(found) - found.count(key))
+                    for p in kept.get(pair, ()):
+                        if len(exception_samples) < SAMPLE_CAP and canonical_form(p) != key:
+                            exception_samples.append(
+                                f"{ca.graph} with {cb.graph} rules "
+                                f"{(ca.rule.i, ca.rule.j)}:"
+                                f"{(cb.rule.i, cb.rule.j)} gave {p}"
+                            )
     return _report("iso-order", instances, 0, [],
-                   {"isomorphic_pairs": sum(len(m) ** 2 for m in classes.values()),
+                   {"isomorphic_pairs": sum(len(r) ** 2 for r in classes.values()),
                     "same_order_products": same_order,
                     "converse_exceptions": exceptions,
                     "converse_samples": exception_samples})
 
 
-def check_bipartite_criterion(max_order: int = 6) -> TheoremReport:
+def check_bipartite_criterion(max_order: int = 6, corpus: _Corpus | None = None) -> TheoremReport:
     """A rule severing every edge at once forces bipartiteness (asserted,
     for ANY such rule); graphs where exactly one rule does so are tallied
     for the narrower uniqueness reading."""
     instances = 0
     violations = []
     unique_tally = 0
-    for g in graphs_up_to(max_order):
+    for g, _ in _stream(max_order, corpus):
         instances += 1
         n, size = g.order, g.size
         prof = degree_profile(g)
@@ -605,29 +655,32 @@ def check_bipartite_criterion(max_order: int = 6) -> TheoremReport:
 
 
 # Every check in verify order: the check ids a runner reports and the
-# runner, called with (max_order, max_power).  The pair sweeps grow
-# quadratically and clamp max_order to PAIR_SWEEP_CAP, the linear sweeps
-# take it as given, and the fixed-witness checks take no bound.  The
-# lambdas look each checker up when they run, so a checker replaced on
-# the module is the one called.
+# runner, called with (max_order, max_power, corpus), where corpus is
+# the _Corpus of max_order, or None for a checker to build its own.
+# The pair sweeps grow quadratically and clamp max_order to
+# PAIR_SWEEP_CAP, the linear sweeps take it as given, and the
+# fixed-witness checks take no bound.  The lambdas look each checker up
+# when they run, so a checker replaced on the module is the one called.
 CHECKS = (
-    (("power-formula",), lambda n, p: [check_power_formula(n)]),
-    (("degree-balance",), lambda n, p: [check_degree_balance(n)]),
+    (("power-formula",), lambda n, p, c: [check_power_formula(n, c)]),
+    (("degree-balance",), lambda n, p, c: [check_degree_balance(n, c)]),
     (("product-count", "reversal", "degree-preservation", "order-bound"),
-     lambda n, p: check_splice_theorems(min(n, PAIR_SWEEP_CAP), p)),
-    (("noncommutativity",), lambda n, p: [_noncommutativity_report()]),
-    (("regularity-preservation",), lambda n, p: [_regularity_report()]),
-    (("kn-degree-symmetry",), lambda n, p: [_kn_symmetry_report()]),
-    (("simplicity-nonclosure",), lambda n, p: [_simplicity_report()]),
-    (("cycle-certificate",), lambda n, p: [check_cycle_theorem(n)]),
-    (("iso-order",), lambda n, p: [check_iso_splice(min(n, PAIR_SWEEP_CAP))]),
-    (("bipartite-full-power",), lambda n, p: [check_bipartite_criterion(n)]),
+     lambda n, p, c: check_splice_theorems(min(n, PAIR_SWEEP_CAP), p, c)),
+    (("noncommutativity",), lambda n, p, c: [_noncommutativity_report()]),
+    (("regularity-preservation",), lambda n, p, c: [_regularity_report()]),
+    (("kn-degree-symmetry",), lambda n, p, c: [_kn_symmetry_report()]),
+    (("simplicity-nonclosure",), lambda n, p, c: [_simplicity_report()]),
+    (("cycle-certificate",), lambda n, p, c: [check_cycle_theorem(n, c)]),
+    (("iso-order",), lambda n, p, c: [check_iso_splice(min(n, PAIR_SWEEP_CAP), c)]),
+    (("bipartite-full-power",), lambda n, p, c: [check_bipartite_criterion(n, c)]),
 )
 
 
 def verify_all(max_order: int = 5, max_power: int = 3) -> list[TheoremReport]:
-    """Run every check in CHECKS at one bound."""
-    return [r for _ids, run in CHECKS for r in run(max_order, max_power)]
+    """Run every check in CHECKS at one bound, the sweeps reading one
+    _Corpus, which lives for this call only."""
+    corpus = _Corpus(max_order)
+    return [r for _ids, run in CHECKS for r in run(max_order, max_power, corpus)]
 
 
 def verify_check(check_id: str, max_order: int = 5, max_power: int = 3) -> TheoremReport:
@@ -635,7 +688,7 @@ def verify_check(check_id: str, max_order: int = 5, max_power: int = 3) -> Theor
     that one report."""
     for ids, run in CHECKS:
         if check_id in ids:
-            return next(r for r in run(max_order, max_power)
+            return next(r for r in run(max_order, max_power, None)
                         if r.check_id == check_id)
     known = sorted(i for ids, _run in CHECKS for i in ids)
     raise GraphSpliceError(f"unknown check {check_id!r}; known: {', '.join(known)}")

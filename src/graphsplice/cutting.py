@@ -113,7 +113,7 @@ class Fragment(NamedTuple):
         return f"{self.kind}{{{verts}}} edges {{{edges}}} hanging at {{{anchors}}}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CutResult:
     """Everything one rule application produces."""
 
@@ -153,13 +153,15 @@ def cut(g: PlfGraph, rule) -> CutResult:
     pre_intact: list[Edge] = []
     suf_intact: list[Edge] = []
     severed: list[Edge] = []
-    for u, v in g.edges:
-        if v <= i:
-            pre_intact.append((u, v))
-        elif u <= last:
-            severed.append((u, v))
+    # the fragments share g's edge tuples, so a cut held for later
+    # (verify_all keeps every cut of its corpus) adds no edge of its own
+    for e in g.edges:
+        if e[1] <= i:
+            pre_intact.append(e)
+        elif e[0] <= last:
+            severed.append(e)
         else:
-            suf_intact.append((u, v))
+            suf_intact.append(e)
     half = i if reflexive else None
     prefix = Fragment("prefix", 1, i, tuple(pre_intact),
                       tuple(u for u, _ in severed), half)

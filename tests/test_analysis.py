@@ -516,18 +516,63 @@ def test_iso_splice_joins_only_same_rule_pairs(monkeypatch):
     # a prefix cut at ia welded to a suffix cut at ib has order
     # n + ia - ib, so only the 643 pairs of groups cut by one rule can
     # keep the operands' order; joining every pair of one shape makes
-    # 2,662 calls
-    calls = 0
+    # 2,662 calls.  Those 643 cover 519 distinct fragment pairs, and a
+    # pair found in several classes is joined once
+    calls = []
     join = splicing.join
 
     def counting_join(prefix, suffix):
-        nonlocal calls
-        calls += 1
+        calls.append((prefix, suffix))
         return join(prefix, suffix)
 
     monkeypatch.setattr(splicing, "join", counting_join)
     check_iso_splice(4)
-    assert calls == 643
+    assert len(calls) == len(set(calls)) == 519
+
+
+def test_verify_all_enumerates_and_cuts_its_corpus_once(monkeypatch):
+    # the sweeps of one verify_all call share its corpus: orders 1 to 4
+    # are enumerated once and each of their 75 graphs is cut once by each
+    # rule, 495 cuts, beside the 32 cuts of the order-bound witnesses and
+    # the 48 of the regularity report's six graphs.  Each sweep
+    # enumerating and cutting for itself made 24 enumerations and 1,280
+    # cuts
+    cuts, orders = [], []
+    cut, enumerate_simple_graphs = analysis.cut, analysis.enumerate_simple_graphs
+
+    def counting_cut(g, rule):
+        cuts.append((g, rule))
+        return cut(g, rule)
+
+    def counting_enumerate(n):
+        orders.append(n)
+        return enumerate_simple_graphs(n)
+
+    monkeypatch.setattr(analysis, "cut", counting_cut)
+    monkeypatch.setattr(analysis, "enumerate_simple_graphs", counting_enumerate)
+    verify_all(4, 3)
+    assert orders == [1, 2, 3, 4]
+    assert len(cuts) == 575
+
+
+@pytest.mark.parametrize("order", [3, 4])
+def test_verify_all_matches_each_checker_called_alone(order):
+    # verify_all's sweeps read its shared corpus, a checker called alone
+    # enumerates and cuts for itself; both give the same report
+    alone = [
+        check_power_formula(order),
+        check_degree_balance(order),
+        *check_splice_theorems(order, 3),
+        analysis._noncommutativity_report(),
+        analysis._regularity_report(),
+        analysis._kn_symmetry_report(),
+        analysis._simplicity_report(),
+        check_cycle_theorem(order),
+        check_iso_splice(order),
+        check_bipartite_criterion(order),
+    ]
+    assert ([r.to_dict() for r in verify_all(order, 3)] ==
+            [r.to_dict() for r in alone])
 
 
 def test_verify_all_covers_every_check():
