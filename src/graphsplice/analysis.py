@@ -571,11 +571,8 @@ def check_iso_splice(max_order: int = 5, corpus: _Corpus | None = None) -> Theor
     only pairs of groups cut by the same rule are judged, with every
     tally weighted by the combos sharing the pair; every product of
     another pair has another order and is not isomorphic to the
-    operands.  A fragment pair found in several classes is joined once:
-    the canonical keys of its products are kept, and each class compares
-    them with its own key.  A pair joined while an exception sample is
-    still due keeps its products too, for the samples of later classes;
-    the samples fill early, so the other pairs keep keys only.
+    operands.  Each pair is judged where the loop meets it, so nothing
+    is held from one class to the next.
     """
     graphs = corpus.graphs if corpus else list(graphs_up_to(max_order, cap=PAIR_SWEEP_CAP))
     classes: dict[bytes, list[int]] = {}
@@ -586,11 +583,6 @@ def check_iso_splice(max_order: int = 5, corpus: _Corpus | None = None) -> Theor
     same_order = 0
     exceptions = 0
     exception_samples = []
-    # (prefix, suffix) -> its products' canonical keys; kept holds the
-    # products of a pair joined while a sample was due, the only pairs a
-    # later sample can come from
-    joined: dict = {}
-    kept: dict = {}
     for key, rows in classes.items():
         held = corpus and [corpus.cuts[r] for r in rows]
         for (m, _), (pres, sufs) in _cut_groups([graphs[r] for r in rows], None, held).items():
@@ -603,22 +595,16 @@ def check_iso_splice(max_order: int = 5, corpus: _Corpus | None = None) -> Theor
                     if ca.rule != cb.rule:
                         continue
                     weight = 2 * len(pre.rows) * len(suf.rows)
-                    pair = (ca.prefix, cb.suffix)
-                    if pair not in joined:
-                        built = splicing.join(*pair)
-                        joined[pair] = tuple(map(canonical_form, built))
-                        if len(exception_samples) < SAMPLE_CAP:
-                            kept[pair] = built
-                    found = joined[pair]
-                    same_order += weight * len(found)
-                    exceptions += weight * (len(found) - found.count(key))
-                    for p in kept.get(pair, ()):
-                        if len(exception_samples) < SAMPLE_CAP and canonical_form(p) != key:
-                            exception_samples.append(
-                                f"{ca.graph} with {cb.graph} rules "
-                                f"{(ca.rule.i, ca.rule.j)}:"
-                                f"{(cb.rule.i, cb.rule.j)} gave {p}"
-                            )
+                    for p in splicing.join(ca.prefix, cb.suffix):
+                        same_order += weight
+                        if canonical_form(p) != key:
+                            exceptions += weight
+                            if len(exception_samples) < SAMPLE_CAP:
+                                exception_samples.append(
+                                    f"{ca.graph} with {cb.graph} rules "
+                                    f"{(ca.rule.i, ca.rule.j)}:"
+                                    f"{(cb.rule.i, cb.rule.j)} gave {p}"
+                                )
     return _report("iso-order", instances, 0, [],
                    {"isomorphic_pairs": sum(len(r) ** 2 for r in classes.values()),
                     "same_order_products": same_order,
@@ -678,7 +664,10 @@ CHECKS = (
 
 def verify_all(max_order: int = 5, max_power: int = 3) -> list[TheoremReport]:
     """Run every check in CHECKS at one bound, the sweeps reading one
-    _Corpus, which lives for this call only."""
+    _Corpus, which lives for this call only.  An order past
+    ENUMERATION_CAP is refused before the corpus is built."""
+    if max_order > ENUMERATION_CAP:
+        raise CapExceededError(f"sweep order {max_order} exceeds cap {ENUMERATION_CAP}")
     corpus = _Corpus(max_order)
     return [r for _ids, run in CHECKS for r in run(max_order, max_power, corpus)]
 

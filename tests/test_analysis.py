@@ -148,6 +148,17 @@ def test_splice_law_sweep_counts_degrees_once_per_fragment_group(monkeypatch):
         assert len(calls) == groups == sum(len(p) + len(s) for p, s in index.values())
 
 
+def traced(run):
+    # (current, peak) bytes, read while run's result is still held
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = run()  # noqa: F841
+        return tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+
+
 def test_splice_law_sweep_memory_stays_per_pair():
     # The sweep holds its corpus and fragment index plus one pair's
     # products and rebuilds at a time.  On Python 3.11 the peak was 1.28
@@ -155,16 +166,6 @@ def test_splice_law_sweep_memory_stays_per_pair():
     # a prefix group's joins were all built before any was checked.  The
     # bound leaves room for the index to weigh a third less on another
     # Python with the same transient bytes.
-    def traced(run):
-        # (current, peak) bytes, read while run's result is still held
-        gc.collect()
-        tracemalloc.start()
-        try:
-            result = run()  # noqa: F841
-            return tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-
     def corpus_and_index():
         corpus = list(graphs_up_to(4))
         return corpus, analysis._cut_groups(corpus, 3)
@@ -516,8 +517,9 @@ def test_iso_splice_joins_only_same_rule_pairs(monkeypatch):
     # a prefix cut at ia welded to a suffix cut at ib has order
     # n + ia - ib, so only the 643 pairs of groups cut by one rule can
     # keep the operands' order; joining every pair of one shape makes
-    # 2,662 calls.  Those 643 cover 519 distinct fragment pairs, and a
-    # pair found in several classes is joined once
+    # 2,662 calls.  Those 643 cover 519 distinct fragment pairs: a pair
+    # found in several classes is joined in each, so nothing is held
+    # from one class to the next
     calls = []
     join = splicing.join
 
@@ -527,7 +529,20 @@ def test_iso_splice_joins_only_same_rule_pairs(monkeypatch):
 
     monkeypatch.setattr(splicing, "join", counting_join)
     check_iso_splice(4)
-    assert len(calls) == len(set(calls)) == 519
+    assert len(calls) == 643
+    assert len(set(calls)) == 519
+
+
+def test_iso_splice_holds_nothing_across_classes():
+    # with the canonical-form cache warm, the sweep over a held corpus
+    # holds one class's fragment groups and one pair's products at a
+    # time: its peak was 0.12 times the corpus on Python 3.11, and 0.57
+    # when every distinct pair's product keys were kept for later classes
+    held, _ = traced(lambda: analysis._Corpus(4))
+    corpus = analysis._Corpus(4)
+    check_iso_splice(4, corpus)
+    _, peak = traced(lambda: check_iso_splice(4, corpus))
+    assert peak <= 0.3 * held
 
 
 def test_verify_all_enumerates_and_cuts_its_corpus_once(monkeypatch):
@@ -553,6 +568,18 @@ def test_verify_all_enumerates_and_cuts_its_corpus_once(monkeypatch):
     verify_all(4, 3)
     assert orders == [1, 2, 3, 4]
     assert len(cuts) == 575
+
+
+def test_verify_all_refuses_an_order_past_the_cap_before_any_work(monkeypatch):
+    # order 7 is past ENUMERATION_CAP: the call raises before its corpus
+    # enumerates or cuts anything
+    calls = []
+    monkeypatch.setattr(analysis, "cut", lambda *a: calls.append("cut"))
+    monkeypatch.setattr(analysis, "enumerate_simple_graphs",
+                        lambda n: calls.append(n) or iter(()))
+    with pytest.raises(CapExceededError, match="sweep order 7 exceeds cap 6"):
+        verify_all(7, 3)
+    assert calls == []
 
 
 @pytest.mark.parametrize("order", [3, 4])

@@ -214,6 +214,12 @@ def test_verify_cap_exit(capsys):
                  "--theorem", "power-formula"]) == 4
 
 
+def test_verify_all_cap_exit(capsys):
+    # every check at once refuses an order past the enumeration cap
+    assert main(["verify", "--max-order", "7"]) == 4
+    assert capsys.readouterr().err == "error: sweep order 7 exceeds cap 6\n"
+
+
 def test_unknown_subcommand(capsys):
     assert main(["frobnicate"]) == 2
 
