@@ -78,62 +78,3 @@ __version__ = "0.1.0"
 
 # the one implementation there is; benchmark records carry it
 BACKEND = "pure"
-
-__all__ = [
-    "BACKEND",
-    "CapExceededError",
-    "ClassInfo",
-    "CutResult",
-    "CuttingRule",
-    "CycleCertificate",
-    "DegreeProfile",
-    "Fragment",
-    "GraphSpliceError",
-    "InvalidGraphError",
-    "InvalidOrderingError",
-    "InvalidRuleError",
-    "IterationTrace",
-    "JoinError",
-    "LanguageConfig",
-    "LanguageResult",
-    "NotApplicableError",
-    "Ordering",
-    "ParseError",
-    "PlfGraph",
-    "SpliceProduct",
-    "SplicingRule",
-    "SplicingSystem",
-    "SystemDefinitionError",
-    "TheoremReport",
-    "canonical_form",
-    "check_bipartite_criterion",
-    "check_cycle_theorem",
-    "check_degree_balance",
-    "check_iso_splice",
-    "check_power_formula",
-    "check_splice_theorems",
-    "complete",
-    "complete_bipartite",
-    "contains",
-    "cut",
-    "cycle",
-    "cycle_certificate",
-    "degree_profile",
-    "double_edge",
-    "enumerate_simple_graphs",
-    "has_cycle",
-    "is_bipartite",
-    "is_isomorphic",
-    "is_regular",
-    "is_simple",
-    "join",
-    "language",
-    "make_rule",
-    "path",
-    "power_by_formula",
-    "sigma_pair",
-    "to_plf",
-    "valid_rules",
-    "verify_all",
-    "__version__",
-]

@@ -11,7 +11,6 @@ each holding the anchors of the severed edges it keeps a half of.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import CapExceededError, InvalidRuleError
@@ -23,28 +22,29 @@ from .graphs import Edge, PlfGraph, degree_profile
 FORMULA_ORDER_CAP = 10**6
 
 
-@dataclass(frozen=True)
-class CuttingRule:
-    """Position pair [i,j] with i <= j <= i+1; reflexive when i = j."""
-
+class _CuttingRuleFields(NamedTuple):
     i: int
     j: int
 
-    def __post_init__(self):
+
+class CuttingRule(_CuttingRuleFields):
+    """Position pair [i,j] with i <= j <= i+1; reflexive when i = j.
+    A rule equals and hashes as the tuple (i, j)."""
+
+    __slots__ = ()
+
+    def __new__(cls, i: int, j: int):
         try:
-            i, j = operator.index(self.i), operator.index(self.j)
+            i, j = operator.index(i), operator.index(j)
         except TypeError:
             raise InvalidRuleError(
-                f"rule positions must be integers, got {self.i!r} and {self.j!r}"
+                f"rule positions must be integers, got {i!r} and {j!r}"
             ) from None
-        object.__setattr__(self, "i", i)
-        object.__setattr__(self, "j", j)
-        if self.i < 1:
-            raise InvalidRuleError(f"rule [{self.i},{self.j}]: i must be positive")
-        if not self.i <= self.j <= self.i + 1:
-            raise InvalidRuleError(
-                f"rule [{self.i},{self.j}]: j must equal i or i+1"
-            )
+        if i < 1:
+            raise InvalidRuleError(f"rule [{i},{j}]: i must be positive")
+        if not i <= j <= i + 1:
+            raise InvalidRuleError(f"rule [{i},{j}]: j must equal i or i+1")
+        return tuple.__new__(cls, (i, j))
 
     @property
     def reflexive(self) -> bool:
@@ -113,8 +113,7 @@ class Fragment(NamedTuple):
         return f"{self.kind}{{{verts}}} edges {{{edges}}} hanging at {{{anchors}}}"
 
 
-@dataclass(frozen=True, slots=True)
-class CutResult:
+class CutResult(NamedTuple):
     """Everything one rule application produces."""
 
     graph: PlfGraph

@@ -12,9 +12,9 @@ from __future__ import annotations
 import operator
 import sys
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate, combinations
+from typing import NamedTuple
 
 from .errors import CapExceededError, InvalidGraphError, InvalidOrderingError
 
@@ -27,31 +27,34 @@ Edge = tuple[int, int]
 _DIGITS = tuple(map(str, range(10)))
 
 
-@dataclass(frozen=True)
-class PlfGraph:
+class _PlfGraphFields(NamedTuple):
+    order: int
+    edges: tuple[Edge, ...]
+
+
+class PlfGraph(_PlfGraphFields):
     """Immutable multigraph on positions 1..order.
 
-    Edges are normalized on construction: each pair is flipped to
-    (min, max) and the whole tuple is sorted, so two equal graphs always
-    compare and hash equal.  splicing.join builds its products already
-    in that form and skips these checks.
+    A graph is the tuple (order, edges), and it equals and hashes as
+    that tuple.  Edges are normalized on construction: each pair is
+    flipped to (min, max) and the whole tuple is sorted, so two equal
+    graphs always compare and hash equal.  splicing.join builds its
+    products already in that form and skips these checks.
     """
 
-    order: int
-    edges: tuple[Edge, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, order: int, edges=()):
         try:
-            order = operator.index(self.order)
+            order = operator.index(order)
         except TypeError:
             raise InvalidGraphError(
-                f"order must be an integer, got {self.order!r}"
+                f"order must be an integer, got {order!r}"
             ) from None
         if order < 0:
             raise InvalidGraphError(f"order must be non-negative, got {order}")
-        object.__setattr__(self, "order", order)
         norm = []
-        for e in self.edges:
+        for e in edges:
             try:
                 u, v = e
             except (TypeError, ValueError):
@@ -66,13 +69,13 @@ class PlfGraph:
                 raise InvalidGraphError(f"loop at vertex {u} is not allowed")
             if u > v:
                 u, v = v, u
-            if not (1 <= u and v <= self.order):
+            if not (1 <= u and v <= order):
                 raise InvalidGraphError(
-                    f"edge ({u},{v}) falls outside positions 1..{self.order}"
+                    f"edge ({u},{v}) falls outside positions 1..{order}"
                 )
             norm.append((u, v))
         norm.sort()
-        object.__setattr__(self, "edges", tuple(norm))
+        return tuple.__new__(cls, (order, tuple(norm)))
 
     @property
     def size(self) -> int:
@@ -113,18 +116,24 @@ class PlfGraph:
 Ordering = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class DegreeProfile:
-    """Left/right degree split of every position, plus totals."""
-
+class _DegreeProfileFields(NamedTuple):
     left: tuple[int, ...]
     right: tuple[int, ...]
-    total: tuple[int, ...] = field(init=False)
+    total: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "total", tuple(l + r for l, r in zip(self.left, self.right))
-        )
+
+class DegreeProfile(_DegreeProfileFields):
+    """Left/right degree split of every position, plus totals, built
+    from (left, right)."""
+
+    __slots__ = ()
+
+    def __new__(cls, left: tuple[int, ...], right: tuple[int, ...]):
+        return tuple.__new__(cls, (left, right, tuple(l + r for l, r in zip(left, right))))
+
+    def __getnewargs__(self):
+        # copy and pickle rebuild a profile from (left, right) alone
+        return self.left, self.right
 
     @property
     def gap_powers(self) -> tuple[int, ...]:

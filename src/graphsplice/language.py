@@ -23,6 +23,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from math import factorial
+from typing import NamedTuple
 
 from . import splicing
 from .cutting import CuttingRule, cut
@@ -86,8 +87,7 @@ class LanguageConfig:
             )
 
 
-@dataclass(frozen=True)
-class ClassInfo:
+class ClassInfo(NamedTuple):
     """One discovered isomorphism class."""
 
     representative: PlfGraph

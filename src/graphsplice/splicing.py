@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
 from operator import itemgetter
+from typing import NamedTuple
 
 from .cutting import CutResult, CuttingRule, Fragment, as_rule, cut
 from .errors import CapExceededError, JoinError, NotApplicableError
@@ -33,17 +34,16 @@ from .graphs import PlfGraph
 
 # largest power join welds: a splice makes 2(m!) products, so each step
 # up multiplies time and memory by about m; two power-8 stars give 80,640
-# products through sigma_pair in 0.4 s and a 94 MB peak RSS (2-core
+# products through sigma_pair in 0.4 s and an 87 MB peak RSS (2-core
 # machine, Python 3.11).  The closure builds one product per orbit of
 # bijections, but finding the orbits visits all m! bijections once per
-# move pattern, so the cap bounds that too: 0.35 s for a power-8 pair
+# move pattern, so the cap bounds that too: 0.34 s for a power-8 pair
 # whose hanging edges all sit at one anchor or at twin anchors, on the
 # same machine
 SPLICE_POWER_CAP = 8
 
 
-@dataclass(frozen=True)
-class SplicingRule:
+class SplicingRule(NamedTuple):
     """A pair of cutting rules, the first for the first graph."""
 
     first: CuttingRule
@@ -114,17 +114,15 @@ def join(prefix: Fragment, suffix: Fragment, *,
     # validated graphs (suffix edges shift by the same offset as the
     # suffix's own positions), every prefix anchor is at most end, and
     # every shifted suffix anchor is above it.  Sorting is the one
-    # normalization left (hand-made fragments may be unsorted).  This is
-    # the one place a PlfGraph is built unvalidated: its fields live in
-    # the instance dict, as for any dataclass without slots, and writing
-    # that dict skips the frozen __setattr__.
+    # normalization left (hand-made fragments may be unsorted).
+    # tuple.__new__ passes by PlfGraph.__new__: this is the one place a
+    # PlfGraph is built unvalidated.
+    new = tuple.__new__
     products = []
     for e in ends:
         edges = [*intact, *zip(left, e)] if m else intact
         edges.sort()
-        g = object.__new__(PlfGraph)
-        g.__dict__["order"], g.__dict__["edges"] = order, tuple(edges)
-        products.append(g)
+        products.append(new(PlfGraph, (order, tuple(edges))))
     return products
 
 

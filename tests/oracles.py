@@ -5,13 +5,16 @@ isomorphism, an unpruned degree-respecting canonical search, component
 counting for cycles, color enumeration for bipartiteness, and one
 sigma_pair call per ordered pair and rule pair for the law sweeps, for
 the regularity report and for the closure.  Slow but obviously correct
-on small graphs.  The few helpers the tests need but the engine does not
-(relabelings, the reversed rule, the product-order bound, a fragment's
-join key spelled out, the first product of each class) live here too.
+on small graphs.  The law sweep's counts also come from arithmetic
+alone, with no graph enumerated or cut (sweep_counts).  The few helpers
+the tests need but the engine does not (relabelings, the reversed rule,
+the product-order bound, a fragment's join key spelled out, the first
+product of each class) live here too.
 """
 
-from collections import Counter
+from collections import Counter, defaultdict
 from itertools import chain, combinations, permutations, product
+from math import comb, factorial
 
 from graphsplice import (
     InvalidRuleError,
@@ -288,6 +291,50 @@ def pairwise_law_sweep(graphs, max_power):
                     degrees += got != (source_degrees(g, h, p.rule) if p.direction == 1
                                        else source_degrees(h, g, swapped(p.rule)))
     return combos, products, oversize, degrees
+
+
+def sweep_counts(max_order, max_power):
+    """(pairs, combos, products, oversize) of check_splice_theorems(
+    max_order, max_power), from binomial coefficients alone.
+
+    A cut of an order-n graph spans k vertex pairs, i(n-i) for the gap
+    rule [i,i+1] and (i-1)(n-i) for the splitting rule [i,i], and keeps
+    the C(i,2) pairs left of it for its prefix and, for its suffix, the
+    C(n-i,2) pairs right of a gap or the C(n-i+1,2) pairs from i on.
+    Among the 2^C(n,2) labeled simple graphs, C(pre,l)·C(k,m)·C(suf,r)
+    have l prefix edges, power m and r suffix edges.  With N_s cuts of
+    shape s = (m, gap), combos = sum N_s^2 and products = sum 2·m!·N_s^2.
+    A product of prefix (na, l) and suffix (nb, r) has l + m + r edges,
+    and it is oversize when that exceeds na + nb - 1.
+    """
+    prefixes = defaultdict(Counter)  # shape -> {(order, prefix edges): cuts}
+    suffixes = defaultdict(Counter)  # shape -> {(order, suffix edges): cuts}
+    graphs = 0
+    for n in range(1, max_order + 1):
+        graphs += 2 ** comb(n, 2)
+        for i in range(1, n + 1):
+            for gap in (True, False):
+                if gap and i == n:
+                    continue
+                k = i * (n - i) if gap else (i - 1) * (n - i)
+                pre = comb(i, 2)
+                suf = comb(n - i, 2) if gap else comb(n - i + 1, 2)
+                for m in range(min(k, max_power) + 1):
+                    ways = comb(k, m)
+                    for l in range(pre + 1):
+                        prefixes[m, gap][n, l] += comb(pre, l) * ways * 2 ** suf
+                    for r in range(suf + 1):
+                        suffixes[m, gap][n, r] += comb(suf, r) * ways * 2 ** pre
+    combos = products = oversize = 0
+    for (m, gap), by_prefix in prefixes.items():
+        cuts = sum(by_prefix.values())
+        combos += cuts ** 2
+        products += 2 * factorial(m) * cuts ** 2
+        for (na, l), a in by_prefix.items():
+            for (nb, r), b in suffixes[m, gap].items():
+                if l + m + r > na + nb - 1:
+                    oversize += 2 * factorial(m) * a * b
+    return graphs ** 2, combos, products, oversize
 
 
 def pairwise_iso_sweep(graphs):

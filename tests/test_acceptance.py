@@ -4,12 +4,13 @@ Every criterion computes its verdict, records it for the terminal
 summary (printed by the conftest hook after the run), and then asserts.
 One more test pins the bytes of the default `verify` output, built
 from the reports that the law_sweep fixture computes once for several
-criteria.  The regularity check is a strict expected failure:
-vertex-splitting rule pairs rebuild the merged vertex with degree
-ld(i) + rd(j), which the degree-preservation law requires, and that
-degree need not match the operands' regular degree.  The smallest counterexample, splitting two
-triangles at their extreme vertices, yields a single vertex of degree 0
-or a figure-eight vertex of degree 4.  The test records an honest FAIL
+criteria, and another derives the law sweep's counts from arithmetic.
+The regularity check is a strict expected failure: vertex-splitting
+rule pairs rebuild the merged vertex with degree ld(i) + rd(j), which
+the degree-preservation law requires, and that degree need not match
+the operands' regular degree.  The smallest counterexample, splitting
+two triangles at their extreme vertices, yields a single vertex of
+degree 0 or a figure-eight vertex of degree 4.  The test records an honest FAIL
 line rather than weakening either law.
 """
 
@@ -48,11 +49,13 @@ from graphsplice.analysis import (
     check_cycle_theorem,
     check_degree_balance,
     check_power_formula,
+    check_splice_theorems,
     verify_all,
 )
 from graphsplice.cli import main
 from graphsplice.formats import parse_graph, to_dot, write_graph, write_system
 from conftest import ACCEPTANCE_RESULTS, child_env
+from oracles import sweep_counts
 
 RULE_12_23 = make_rule((1, 2), (2, 3))
 
@@ -80,6 +83,27 @@ def test_default_verify_report_bytes_are_pinned(law_sweep):
     out = json.dumps([r.to_dict() for r in law_sweep.values()],
                      indent=2, sort_keys=True) + "\n"
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_DEFAULT_SHA256
+
+
+def _sweep_note(reports):
+    # the law sweep's (pairs, combos, products, oversize) from its four
+    # reports, in sweep order; combos and products are also their
+    # instance counts
+    note = reports[3].extras
+    pairs, combos, products = note["pairs"], note["combos"], note["products_built"]
+    assert [r.instances_checked for r in reports] == [combos, combos, products, products]
+    return pairs, combos, products, note["oversize_edge_counts"]
+
+
+def test_law_sweep_counts_follow_from_arithmetic(law_sweep):
+    # the closed form enumerates and cuts no graph, so it checks the
+    # pinned counts apart from the sweep and its oracle
+    for n in range(1, 5):
+        for p in range(4):
+            assert _sweep_note(check_splice_theorems(n, p)) == sweep_counts(n, p), (n, p)
+    assert sweep_counts(5, 3) == (1099 ** 2, 13167059, 49283782, 2493444)
+    checks = ("product-count", "reversal", "degree-preservation", "order-bound")
+    assert _sweep_note([law_sweep[c] for c in checks]) == sweep_counts(5, 3)
 
 
 def test_criterion_01_k5_cut(tmp_path, capsys):

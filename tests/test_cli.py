@@ -316,8 +316,8 @@ def test_splice_power_cap_exit(capsys, monkeypatch, tmp_path):
     def never(*args):
         raise AssertionError("join went past its cap check")
 
-    # join builds each product as object.__new__(PlfGraph), which raises
-    # TypeError when a function stands in for the class
+    # join builds each product as tuple.__new__(PlfGraph, ...), which
+    # raises TypeError when a function stands in for the class
     monkeypatch.setattr(splicing, "SPLICE_POWER_CAP", 2)
     monkeypatch.setattr(splicing, "permutations", never)
     monkeypatch.setattr(splicing, "PlfGraph", never)

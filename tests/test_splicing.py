@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from itertools import combinations, permutations
 from math import factorial
@@ -8,12 +10,14 @@ from hypothesis import strategies as st
 
 from graphsplice import (
     CapExceededError,
+    ClassInfo,
     JoinError,
     NotApplicableError,
     PlfGraph,
     complete,
     cut,
     cycle,
+    degree_profile,
     double_edge,
     enumerate_simple_graphs,
     is_isomorphic,
@@ -202,8 +206,9 @@ def test_join_refuses_a_mismatched_pair_before_building(monkeypatch):
     def no_product(*args):
         raise AssertionError("a product was built")
 
-    # join builds each product as object.__new__(PlfGraph), which raises
-    # TypeError, not JoinError, when a function stands in for the class
+    # join builds each product as tuple.__new__(PlfGraph, ...), which
+    # raises TypeError, not JoinError, when a function stands in for the
+    # class
     monkeypatch.setattr(splicing, "PlfGraph", no_product)
     c3 = cut(cycle(3), (1, 2))
     k4 = cut(complete(4), (1, 2))
@@ -227,15 +232,18 @@ def test_join_builds_one_product_per_bijection_in_order():
 
 def test_join_builds_without_revalidating(monkeypatch):
     calls = 0
-    validate = PlfGraph.__post_init__
+    validate = PlfGraph.__new__
 
-    def counted(self):
+    def counted(cls, *args, **kwargs):
         nonlocal calls
         calls += 1
-        validate(self)
+        return validate(cls, *args, **kwargs)
 
     k5 = cut(complete(5), (2, 3))
-    monkeypatch.setattr(PlfGraph, "__post_init__", counted)
+    monkeypatch.setattr(PlfGraph, "__new__", counted)
+    # the patch sees a validated construction
+    assert PlfGraph(2, ((1, 2),)) and calls == 1
+    calls = 0
     built = join(k5.prefix, k5.suffix)
     assert len(built) == factorial(k5.power)
     assert calls == 0
@@ -356,6 +364,21 @@ def test_twin_fragments_join_to_one_representative():
     rigid = cut(PlfGraph(6, ((1, 2), (1, 4), (3, 5), (4, 5), (4, 6))), (3, 4))
     assert join(rigid.prefix, rigid.suffix, representatives=True) == join(
         rigid.prefix, rigid.suffix)
+
+
+def test_records_equal_and_hash_as_their_field_tuples():
+    # a frozen dataclass hashed the tuple of its fields, so a record
+    # that equals and hashes as that tuple keeps every dict and set
+    # order and every pinned digest; copies and pickles rebuild the
+    # record through its own constructor
+    g = cycle(4)
+    res = cut(g, (2, 3))
+    records = (g, join(res.prefix, res.suffix)[1], res.rule, res, res.prefix,
+               RUNNING_RULE, degree_profile(g), ClassInfo(g, 0))
+    for x in records:
+        assert x == tuple(x) and hash(x) == hash(tuple(x))
+        for twin in (copy.copy(x), pickle.loads(pickle.dumps(x))):
+            assert twin == x and type(twin) is type(x)
 
 
 def test_an_unvalidated_graph_is_frozen_and_equals_the_validated_one():
