@@ -7,17 +7,18 @@ oracle (direct counting, DFS, 2-coloring, edge lists rebuilt apart from
 join).  Asserted laws must hold with zero violations; converse directions
 that are false for some layouts are tallied in a report's extras instead.
 
-verify_all builds one _Corpus per call and every sweep reads it: each
-graph up to the pair sweeps' order cap is enumerated once and cut once
-by every rule, for all six sweeps.  A checker called alone enumerates
-and cuts for itself.
+Every sweep reads its graphs and cuts from one _Corpus: verify_all and
+verify_check build one per call, and a checker called alone builds its
+own.  Each graph up to the pair sweeps' order cap is enumerated once and
+cut once by every rule, however many sweeps read it, and _Corpus is the
+one place that refuses an order past ENUMERATION_CAP.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from itertools import chain, permutations, repeat
 from math import factorial
 
@@ -80,46 +81,49 @@ def _report(check_id, instances, violation_count, samples, extras=None):
                          status, extras)
 
 
-def graphs_up_to(max_order: int, cap: int = ENUMERATION_CAP, start: int = 1):
+def graphs_up_to(max_order: int, start: int = 1):
     """Every labeled simple graph of order start..max_order."""
-    if max_order > cap:
-        raise CapExceededError(
-            f"sweep order {max_order} exceeds cap {cap}"
-        )
     for n in range(start, max_order + 1):
         yield from enumerate_simple_graphs(n)
 
 
 class _Corpus:
-    """What one verify_all call enumerates and cuts once for all its
-    sweeps: graphs, every graph of order at most min(max_order,
-    PAIR_SWEEP_CAP) in graphs_up_to order, and cuts, where cuts[row]
-    holds the cuts of graphs[row] by every rule of valid_rules, gap
-    rules first.  Only the linear sweeps read past that order, and
-    _stream enumerates those graphs anew for each, so their graphs and
-    cuts are never held: a cut of order 5 holds about 0.6 KB, and order 6
-    has 360,448 of them.
+    """The graphs and cuts every sweep of one run reads.
+
+    An order past ENUMERATION_CAP is refused here, before anything is
+    enumerated.  graphs holds every graph of order at most
+    min(max_order, PAIR_SWEEP_CAP) in graphs_up_to order, and cuts[row]
+    the cuts of graphs[row] by every rule of valid_rules, gap rules
+    first, made on first read, so a check that reads no cut never cuts.
+    Only the linear sweeps read past PAIR_SWEEP_CAP, and stream
+    enumerates those graphs anew for each, so their graphs and cuts are
+    never held: a cut of order 5 holds about 0.6 KB, and order 6 has
+    360,448 of them.
     """
 
     def __init__(self, max_order: int):
+        if max_order > ENUMERATION_CAP:
+            raise CapExceededError(f"sweep order {max_order} exceeds cap {ENUMERATION_CAP}")
+        self.max_order = max_order
         self.graphs = list(graphs_up_to(min(max_order, PAIR_SWEEP_CAP)))
-        self.cuts = [[cut(g, r) for r in valid_rules(g)] for g in self.graphs]
 
+    @cached_property
+    def cuts(self) -> list:
+        return [[cut(g, r) for r in valid_rules(g)] for g in self.graphs]
 
-def _stream(max_order: int, corpus: _Corpus | None):
-    """(graph, its cuts or None) for every graph of order 1..max_order:
-    the corpus's graphs with their cuts, then the graphs of any higher
-    order, enumerated anew, whose cuts are the caller's to make."""
-    held = zip(corpus.graphs, corpus.cuts) if corpus else ()
-    start = PAIR_SWEEP_CAP + 1 if corpus else 1
-    return chain(held, zip(graphs_up_to(max_order, start=start), repeat(None)))
+    def stream(self):
+        """Every graph of order 1..max_order: the held graphs, then those
+        of any higher order, enumerated anew."""
+        return chain(self.graphs, graphs_up_to(self.max_order, start=PAIR_SWEEP_CAP + 1))
 
 
 def check_power_formula(max_order: int = 5, corpus: _Corpus | None = None) -> TheoremReport:
     """Severed-edge count of every gap rule equals both degree formulas."""
+    corpus = corpus or _Corpus(max_order)
     instances = 0
     violations = []
-    for g, cuts in _stream(max_order, corpus):
+    # the held graphs' cuts, then none: past them each graph is cut here
+    for g, cuts in zip(corpus.stream(), chain(corpus.cuts, repeat(None))):
         gaps = valid_rules(g, include_reflexive=False)
         # valid_rules lists the gap rules first, so zip stops after them
         for rule, c in zip(gaps, cuts or map(partial(cut, g), gaps)):
@@ -141,7 +145,7 @@ def check_degree_balance(max_order: int = 5, corpus: _Corpus | None = None) -> T
     PlfGraph.left_degree and right_degree, counted apart from it."""
     instances = 0
     violations = []
-    for g, _ in _stream(max_order, corpus):
+    for g in (corpus or _Corpus(max_order)).stream():
         instances += 1
         prof = degree_profile(g)
         diff = sum(r - l for l, r in zip(prof.left, prof.right))
@@ -165,18 +169,16 @@ _LAW_EXPECTATIONS = {
 }
 
 
-def _cut_groups(graphs, max_power: int | None = None, cuts=None):
-    """File every cut of every graph of power at most max_power by
-    splicing.file_cut, with the graph's index in graphs as its row.
-    cuts[row] holds the cuts of graphs[row] by every rule of
-    valid_rules; without it each graph is cut here.
+def _cut_groups(cuts, max_power: int | None = None):
+    """File every cut of power at most max_power by splicing.file_cut,
+    where cuts[row] holds one graph's cuts and row is their row.
 
     Returns {shape: (prefix groups, suffix groups)}, each side's groups
     in filing order.
     """
     index: dict = {}
-    for row, g in enumerate(graphs):
-        for c in cuts[row] if cuts else map(partial(cut, g), valid_rules(g)):
+    for row, graph_cuts in enumerate(cuts):
+        for c in graph_cuts:
             if max_power is None or c.power <= max_power:
                 file_cut(index, c, row)
     return {k: (list(p.values()), list(s.values())) for k, (p, s) in index.items()}
@@ -206,9 +208,10 @@ def check_splice_theorems(max_order: int = 5, max_power: int = 3,
     and order-bound reports, in that order.
 
     The sweep covers every ordered pair of labeled simple graphs up to
-    max_order and every applicable cut combination (g by rule a, h by
-    rule b) of power m at most max_power; each such combo builds the m!
-    products of Prefix(g)+Suffix(h) and the m! of Prefix(h)+Suffix(g).
+    max_order, or up to PAIR_SWEEP_CAP when max_order is past it, and
+    every applicable cut combination (g by rule a, h by rule b) of power
+    m at most max_power; each such combo builds the m! products of
+    Prefix(g)+Suffix(h) and the m! of Prefix(h)+Suffix(g).
     Each graph is cut once and its cuts are filed by splicing.file_cut,
     whose docstring gives the filing rule, so join runs once per
     distinct fragment pair.  Tallies are weighted by the number of
@@ -240,7 +243,8 @@ def check_splice_theorems(max_order: int = 5, max_power: int = 3,
     degrees, order bound and edge count.  Samples are kept per law, so
     each law's samples follow the sweep order.
     """
-    graphs = corpus.graphs if corpus else list(graphs_up_to(max_order, cap=PAIR_SWEEP_CAP))
+    corpus = corpus or _Corpus(max_order)
+    graphs = corpus.graphs
     combos = products = oversize = 0
     counts = {"count": 0, "reversal": 0, "degree": 0, "bound": 0}
     samples: dict[str, list] = {k: [] for k in counts}
@@ -254,8 +258,7 @@ def check_splice_theorems(max_order: int = 5, max_power: int = 3,
                 _LAW_EXPECTATIONS[kind], detail,
             ))
 
-    for (m, unsplit), (pres, sufs) in _cut_groups(graphs, max_power,
-                                                  corpus and corpus.cuts).items():
+    for (m, unsplit), (pres, sufs) in _cut_groups(corpus.cuts, max_power).items():
         reflexive = not unsplit
         combos += sum(len(pre.rows) for pre in pres) ** 2
         bijections = list(permutations(range(m)))
@@ -537,7 +540,7 @@ def check_cycle_theorem(max_order: int = 6, corpus: _Corpus | None = None) -> Th
     violations = []
     exceptions = 0
     exception_samples = []
-    for g, _ in _stream(max_order, corpus):
+    for g in (corpus or _Corpus(max_order)).stream():
         instances += 1
         cyclic = has_cycle(g)
         cert = cycle_certificate(g)
@@ -562,10 +565,11 @@ def check_iso_splice(max_order: int = 5, corpus: _Corpus | None = None) -> Theor
     order), and equal-order products that fail to be isomorphic are
     tallied as converse exceptions.
 
-    Runs like the product-law sweep, one isomorphism class at a time:
-    the members' cuts, made once per graph for the whole sweep (or read
-    from the corpus verify_all shares), are filed by splicing.file_cut
-    within the class.  N cuts of one shape and power m make N^2 ordered
+    The pairs are those of the corpus's graphs, up to max_order or up to
+    PAIR_SWEEP_CAP when max_order is past it.  The sweep runs like the
+    product-law sweep, one isomorphism class at a time: the members'
+    cuts, read from the corpus, are filed by splicing.file_cut within
+    the class.  N cuts of one shape and power m make N^2 ordered
     pairs of 2(m!) products each, and all of them count as instances.
     A prefix cut at position ia welded to a suffix cut at ib gives order
     n + ia - ib, and within one shape ia = ib means one cutting rule, so
@@ -575,7 +579,8 @@ def check_iso_splice(max_order: int = 5, corpus: _Corpus | None = None) -> Theor
     operands.  Each pair is judged where the loop meets it, so nothing
     is held from one class to the next.
     """
-    graphs = corpus.graphs if corpus else list(graphs_up_to(max_order, cap=PAIR_SWEEP_CAP))
+    corpus = corpus or _Corpus(max_order)
+    graphs = corpus.graphs
     classes: dict[bytes, list[int]] = {}
     for row, g in enumerate(graphs):
         classes.setdefault(canonical_form(g), []).append(row)
@@ -585,8 +590,7 @@ def check_iso_splice(max_order: int = 5, corpus: _Corpus | None = None) -> Theor
     exceptions = 0
     exception_samples = []
     for key, rows in classes.items():
-        held = corpus and [corpus.cuts[r] for r in rows]
-        for (m, _), (pres, sufs) in _cut_groups([graphs[r] for r in rows], None, held).items():
+        for (m, _), (pres, sufs) in _cut_groups([corpus.cuts[r] for r in rows]).items():
             # each cut files one prefix, so the prefix groups' rows are N
             instances += 2 * factorial(m) * sum(len(pre.rows) for pre in pres) ** 2
             for pre in pres:
@@ -620,7 +624,7 @@ def check_bipartite_criterion(max_order: int = 6, corpus: _Corpus | None = None)
     instances = 0
     violations = []
     unique_tally = 0
-    for g, _ in _stream(max_order, corpus):
+    for g in (corpus or _Corpus(max_order)).stream():
         instances += 1
         n, size = g.order, g.size
         prof = degree_profile(g)
@@ -643,42 +647,38 @@ def check_bipartite_criterion(max_order: int = 6, corpus: _Corpus | None = None)
 
 # Every check in verify order: the check ids a runner reports and the
 # runner, called with (max_order, max_power, corpus), where corpus is
-# the _Corpus of max_order, or None for a checker to build its own.
-# The pair sweeps grow quadratically and clamp max_order to
-# PAIR_SWEEP_CAP, the linear sweeps take it as given, and the
-# fixed-witness checks take no bound.  The lambdas look each checker up
-# when they run, so a checker replaced on the module is the one called.
+# the _Corpus of max_order.  The sweeps read their graphs from it, and
+# the fixed-witness checks take no bound.  The lambdas look each checker
+# up when they run, so a checker replaced on the module is the one
+# called.
 CHECKS = (
     (("power-formula",), lambda n, p, c: [check_power_formula(n, c)]),
     (("degree-balance",), lambda n, p, c: [check_degree_balance(n, c)]),
     (("product-count", "reversal", "degree-preservation", "order-bound"),
-     lambda n, p, c: check_splice_theorems(min(n, PAIR_SWEEP_CAP), p, c)),
+     lambda n, p, c: check_splice_theorems(n, p, c)),
     (("noncommutativity",), lambda n, p, c: [_noncommutativity_report()]),
     (("regularity-preservation",), lambda n, p, c: [_regularity_report()]),
     (("kn-degree-symmetry",), lambda n, p, c: [_kn_symmetry_report()]),
     (("simplicity-nonclosure",), lambda n, p, c: [_simplicity_report()]),
     (("cycle-certificate",), lambda n, p, c: [check_cycle_theorem(n, c)]),
-    (("iso-order",), lambda n, p, c: [check_iso_splice(min(n, PAIR_SWEEP_CAP), c)]),
+    (("iso-order",), lambda n, p, c: [check_iso_splice(n, c)]),
     (("bipartite-full-power",), lambda n, p, c: [check_bipartite_criterion(n, c)]),
 )
 
 
 def verify_all(max_order: int = 5, max_power: int = 3) -> list[TheoremReport]:
     """Run every check in CHECKS at one bound, the sweeps reading one
-    _Corpus, which lives for this call only.  An order past
-    ENUMERATION_CAP is refused before the corpus is built."""
-    if max_order > ENUMERATION_CAP:
-        raise CapExceededError(f"sweep order {max_order} exceeds cap {ENUMERATION_CAP}")
+    _Corpus, which lives for this call only."""
     corpus = _Corpus(max_order)
     return [r for _ids, run in CHECKS for r in run(max_order, max_power, corpus)]
 
 
 def verify_check(check_id: str, max_order: int = 5, max_power: int = 3) -> TheoremReport:
-    """Run only the entry of CHECKS that reports check_id, and return
-    that one report."""
+    """Run only the entry of CHECKS that reports check_id on a _Corpus
+    of its own, and return that one report."""
     for ids, run in CHECKS:
         if check_id in ids:
-            return next(r for r in run(max_order, max_power, None)
+            return next(r for r in run(max_order, max_power, _Corpus(max_order))
                         if r.check_id == check_id)
     known = sorted(i for ids, _run in CHECKS for i in ids)
     raise GraphSpliceError(f"unknown check {check_id!r}; known: {', '.join(known)}")

@@ -116,24 +116,17 @@ class PlfGraph(_PlfGraphFields):
 Ordering = tuple[int, ...]
 
 
-class _DegreeProfileFields(NamedTuple):
+class DegreeProfile(NamedTuple):
+    """Left/right degree split of every position: left[v-1] counts the
+    edges that end at v, right[v-1] those that start there."""
+
     left: tuple[int, ...]
     right: tuple[int, ...]
-    total: tuple[int, ...]
 
-
-class DegreeProfile(_DegreeProfileFields):
-    """Left/right degree split of every position, plus totals, built
-    from (left, right)."""
-
-    __slots__ = ()
-
-    def __new__(cls, left: tuple[int, ...], right: tuple[int, ...]):
-        return tuple.__new__(cls, (left, right, tuple(l + r for l, r in zip(left, right))))
-
-    def __getnewargs__(self):
-        # copy and pickle rebuild a profile from (left, right) alone
-        return self.left, self.right
+    @property
+    def total(self) -> tuple[int, ...]:
+        """Each position's degree, ld(v) + rd(v)."""
+        return tuple(l + r for l, r in zip(self.left, self.right))
 
     @property
     def gap_powers(self) -> tuple[int, ...]:

@@ -337,6 +337,63 @@ def sweep_counts(max_order, max_power):
     return graphs ** 2, combos, products, oversize
 
 
+def linear_sweep_counts(max_order):
+    """(graphs, gap rules) a linear sweep up to max_order reads, from
+    arithmetic alone: order n has 2^C(n,2) labeled simple graphs, each
+    with n - 1 gap rules."""
+    orders = range(1, max_order + 1)
+    return (sum(2 ** comb(n, 2) for n in orders),
+            sum((n - 1) * 2 ** comb(n, 2) for n in orders))
+
+
+# the six regular graphs the regularity report reads
+REGULARITY_GRAPHS = (cycle(3), cycle(4), cycle(5), cycle(6), complete(4), complete(5))
+
+
+def regularity_instances(graphs):
+    """The regularity report's instance count from each graph's
+    degree_profile alone, with no graph cut or joined.
+
+    A cut's shape is (power, gap): the gap rule [i,i+1] severs
+    gap_powers[i] edges and the split at i severs gap_powers[i-1] -
+    ld(i).  Two cuts of shape s = (m, gap) weld in two directions of m!
+    products each, so a pair of graphs with the same degrees, N_g(s)
+    and N_h(s) cuts of each shape, gives the sum of 2·m!·N_g(s)·N_h(s).
+    """
+    shapes = []
+    for g in graphs:
+        prof = degree_profile(g)
+        gaps = prof.gap_powers
+        n = len(prof.left)
+        shapes.append((set(prof.total), Counter(
+            [(gaps[i], True) for i in range(1, n)] +
+            [(gaps[i - 1] - prof.left[i - 1], False) for i in range(1, n + 1)])))
+    return sum(2 * factorial(m) * k * nh[m, gap]
+               for dg, ng in shapes for dh, nh in shapes if dg == dh
+               for (m, gap), k in ng.items())
+
+
+def degree_pair_audit(system, result):
+    """The class representatives of a closure whose (ld, rd) pairs the
+    rules cannot make, from degree_profile alone.
+
+    A gap-rule splice keeps every vertex whole, with its left and right
+    degrees, so every representative's pairs lie in the set P of the
+    axioms' pairs.  A split at i welds a prefix half-vertex, with ld(i),
+    to a suffix half-vertex, with rd(j), so with splitting rules the
+    pairs lie in P ∪ (L × R), L and R being the axioms' left and right
+    degrees; that set is closed under the same weld.
+    """
+    pairs = set()
+    for g in system.axioms:
+        prof = degree_profile(g)
+        pairs.update(zip(prof.left, prof.right))
+    if any(s.first.reflexive and s.second.reflexive for s in system.rules):
+        pairs |= set(product({l for l, _ in pairs}, {r for _, r in pairs}))
+    return [info.representative for info in result.classes.values()
+            if not set(zip(*degree_profile(info.representative))) <= pairs]
+
+
 def pairwise_iso_sweep(graphs):
     """(instances, equal-order products, converse exceptions) over every
     ordered pair of isomorphic graphs: every product counts, and an
@@ -360,12 +417,11 @@ def sigma_pair_regularity_report():
     (g, h, rule pair), skipping the pairs it refuses: both directions
     joined from fresh cuts and every product checked afresh, with no
     fragment pair shared between (g, h) and (h, g)."""
-    corpus = [cycle(3), cycle(4), cycle(5), cycle(6), complete(4), complete(5)]
     instances = total = gap_rule_total = 0
     samples = []
-    for g in corpus:
+    for g in REGULARITY_GRAPHS:
         rg = is_regular(g)
-        for h in corpus:
+        for h in REGULARITY_GRAPHS:
             if is_regular(h) != rg:
                 continue
             for c1 in valid_rules(g):

@@ -4,7 +4,7 @@ Every criterion computes its verdict, records it for the terminal
 summary (printed by the conftest hook after the run), and then asserts.
 One more test pins the bytes of the default `verify` output, built
 from the reports that the law_sweep fixture computes once for several
-criteria, and another derives the law sweep's counts from arithmetic.
+criteria, and two more derive the sweeps' counts from arithmetic.
 The regularity check is a strict expected failure: vertex-splitting
 rule pairs rebuild the merged vertex with degree ld(i) + rd(j), which
 the degree-preservation law requires, and that degree need not match
@@ -55,7 +55,12 @@ from graphsplice.analysis import (
 from graphsplice.cli import main
 from graphsplice.formats import parse_graph, to_dot, write_graph, write_system
 from conftest import ACCEPTANCE_RESULTS, child_env
-from oracles import sweep_counts
+from oracles import (
+    REGULARITY_GRAPHS,
+    linear_sweep_counts,
+    regularity_instances,
+    sweep_counts,
+)
 
 RULE_12_23 = make_rule((1, 2), (2, 3))
 
@@ -104,6 +109,32 @@ def test_law_sweep_counts_follow_from_arithmetic(law_sweep):
     assert sweep_counts(5, 3) == (1099 ** 2, 13167059, 49283782, 2493444)
     checks = ("product-count", "reversal", "degree-preservation", "order-bound")
     assert _sweep_note([law_sweep[c] for c in checks]) == sweep_counts(5, 3)
+
+
+# the checks that read every graph up to the order bound, one instance
+# per graph, and the power formula, one per gap rule
+LINEAR_SWEEPS = ("degree-balance", "cycle-certificate", "bipartite-full-power")
+
+
+def _linear_counts(reports):
+    # (graphs, gap rules, regularity instances) as the reports give them
+    graphs = {reports[c].instances_checked for c in LINEAR_SWEEPS}
+    assert len(graphs) == 1, graphs
+    return (graphs.pop(), reports["power-formula"].instances_checked,
+            reports["regularity-preservation"].instances_checked)
+
+
+def test_linear_sweep_counts_follow_from_arithmetic(law_sweep):
+    # every order up to the bound is read exactly once: the held corpus
+    # and the orders streamed past it neither overlap nor leave a gap
+    regularity = regularity_instances(REGULARITY_GRAPHS)
+    assert regularity == 7288
+    for n in range(1, 5):
+        reports = {r.check_id: r for r in verify_all(n, 3)}
+        assert _linear_counts(reports) == (*linear_sweep_counts(n), regularity), n
+    assert _linear_counts(law_sweep) == (*linear_sweep_counts(5), regularity)
+    assert linear_sweep_counts(6) == (33867, 168146)
+    assert check_degree_balance(6).instances_checked == linear_sweep_counts(6)[0]
 
 
 def test_criterion_01_k5_cut(tmp_path, capsys):

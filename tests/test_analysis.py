@@ -144,7 +144,7 @@ def test_splice_law_sweep_counts_degrees_once_per_fragment_group(monkeypatch):
     for order, groups in ((3, 54), (4, 410)):
         calls.clear()
         check_splice_theorems(order, 3)
-        index = analysis._cut_groups(list(graphs_up_to(order)), 3)
+        index = analysis._cut_groups(analysis._Corpus(order).cuts, 3)
         assert len(calls) == groups == sum(len(p) + len(s) for p, s in index.values())
 
 
@@ -159,16 +159,22 @@ def traced(run):
         tracemalloc.stop()
 
 
+def read_corpus(order):
+    # a _Corpus with its graphs and cuts made
+    corpus = analysis._Corpus(order)
+    corpus.cuts
+    return corpus
+
+
 def test_splice_law_sweep_memory_stays_per_pair():
-    # The sweep holds its corpus and fragment index plus one pair's
-    # products and rebuilds at a time.  On Python 3.11 the peak was 1.28
-    # to 1.30 times what the corpus and index hold, and 1.54 to 1.57 when
-    # a prefix group's joins were all built before any was checked.  The
-    # bound leaves room for the index to weigh a third less on another
-    # Python with the same transient bytes.
+    # The sweep holds its corpus, the graphs and their cuts, and its
+    # fragment index, plus one pair's products and rebuilds at a time.
+    # On Python 3.11 the peak was 1.32 times what the corpus and index
+    # hold (0.45 MB traced).  The bound leaves room for the index to
+    # weigh a third less on another Python with the same transient bytes.
     def corpus_and_index():
-        corpus = list(graphs_up_to(4))
-        return corpus, analysis._cut_groups(corpus, 3)
+        corpus = read_corpus(4)
+        return corpus, analysis._cut_groups(corpus.cuts, 3)
 
     held, _ = traced(corpus_and_index)
     _, peak = traced(lambda: check_splice_theorems(4, 3))
@@ -549,8 +555,8 @@ def test_iso_splice_holds_nothing_across_classes():
     # holds one class's fragment groups and one pair's products at a
     # time: its peak was 0.12 times the corpus on Python 3.11, and 0.57
     # when every distinct pair's product keys were kept for later classes
-    held, _ = traced(lambda: analysis._Corpus(4))
-    corpus = analysis._Corpus(4)
+    held, _ = traced(lambda: read_corpus(4))
+    corpus = read_corpus(4)
     check_iso_splice(4, corpus)
     _, peak = traced(lambda: check_iso_splice(4, corpus))
     assert peak <= 0.3 * held
@@ -591,6 +597,25 @@ def test_verify_all_refuses_an_order_past_the_cap_before_any_work(monkeypatch):
     with pytest.raises(CapExceededError, match="sweep order 7 exceeds cap 6"):
         verify_all(7, 3)
     assert calls == []
+
+
+@pytest.mark.parametrize("check_id", [i for ids, _run in analysis.CHECKS for i in ids])
+def test_verify_check_refuses_an_order_past_the_cap_before_any_work(monkeypatch, check_id):
+    # each check, the fixed-witness ones included, reads its bound through
+    # one _Corpus, which refuses order 7 before it enumerates or cuts
+    calls = []
+    monkeypatch.setattr(analysis, "cut", lambda *a: calls.append("cut"))
+    monkeypatch.setattr(analysis, "enumerate_simple_graphs",
+                        lambda n: calls.append(n) or iter(()))
+    with pytest.raises(CapExceededError, match="sweep order 7 exceeds cap 6"):
+        analysis.verify_check(check_id, 7, 3)
+    assert calls == []
+
+
+def test_a_corpus_past_the_pair_sweep_cap_holds_graphs_up_to_it():
+    # the pair sweeps read corpus.graphs, so past order 5 they run at
+    # order 5, as under verify, and the refusal waits for order 7
+    assert len(analysis._Corpus(6).graphs) == 1099
 
 
 @pytest.mark.parametrize("order", [3, 4])

@@ -10,7 +10,9 @@ from pathlib import Path
 import pytest
 
 import graphsplice.graphs as graphs_module
+from graphsplice import language
 from graphsplice.cli import main
+from oracles import degree_pair_audit
 
 JOBS_PY = Path(__file__).resolve().parent.parent / "perfbench" / "jobs.py"
 
@@ -46,6 +48,16 @@ def test_lang_job_runs_its_pinned_number_of_searches(job):
     graphs_module._canon_cached.cache_clear()
     jobs.run(job, jobs.load(job))
     assert graphs_module._canon_cached.cache_info().misses == LANG_SEARCHES[job]
+
+
+# every class a job's closure finds keeps (ld, rd) degree pairs that
+# its axioms and rules can make, judged by oracles.degree_pair_audit
+@pytest.mark.parametrize("job", sorted(LANG_SEARCHES))
+def test_lang_job_classes_keep_the_axioms_degree_pairs(job):
+    system, config = jobs.load(job)
+    result = language(system, config)
+    assert result.classes
+    assert degree_pair_audit(system, result) == []
 
 
 # sha256 of `graphsplice lang jobs/<job>.plfs` stdout.  The expected

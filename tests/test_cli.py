@@ -220,6 +220,17 @@ def test_verify_all_cap_exit(capsys):
     assert capsys.readouterr().err == "error: sweep order 7 exceeds cap 6\n"
 
 
+@pytest.mark.parametrize("check_id",
+                         [i for ids, _run in analysis.CHECKS for i in ids])
+def test_verify_theorem_cap_exit(capsys, check_id):
+    # one check alone, a fixed-witness check included, is refused as
+    # every check at once is, before any work
+    assert main(["verify", "--theorem", check_id, "--max-order", "7"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: sweep order 7 exceeds cap 6\n"
+
+
 def test_unknown_subcommand(capsys):
     assert main(["frobnicate"]) == 2
 

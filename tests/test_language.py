@@ -36,7 +36,13 @@ from graphsplice.language import (
     SplicingSystem,
 )
 from conftest import plf_graphs
-from oracles import first_of_each_class, join_key, naive_language, orbit_count
+from oracles import (
+    degree_pair_audit,
+    first_of_each_class,
+    join_key,
+    naive_language,
+    orbit_count,
+)
 
 RUNNING_RULE = make_rule((1, 2), (2, 3))
 
@@ -56,8 +62,16 @@ def running_system():
     return SplicingSystem((cycle(3), cycle(4)), (RUNNING_RULE,))
 
 
-def assert_matches_oracle(system, config):
+def audited(system, config):
+    """language(system, config), once every class representative is
+    found to keep degree pairs that the axioms and rules can make."""
     res = language(system, config)
+    assert degree_pair_audit(system, res) == []
+    return res
+
+
+def assert_matches_oracle(system, config):
+    res = audited(system, config)
     classes, trace, saturated = naive_language(system, config)
     assert list(res.classes) == list(classes)
     assert {k: (i.representative, i.iteration) for k, i in res.classes.items()} == classes
@@ -465,7 +479,7 @@ def _prefix_of(short, long):
 
 
 def assert_iteration_monotone(system, max_order, top):
-    runs = [language(system, LanguageConfig(max_iterations=k, max_order=max_order))
+    runs = [audited(system, LanguageConfig(max_iterations=k, max_order=max_order))
             for k in range(top + 1)]
     for short, long in zip(runs, runs[1:]):
         _prefix_of(short, long)
@@ -475,7 +489,7 @@ def assert_cap_monotone(system, max_order, max_iterations=10):
     """Assert that a saturated run at max_order + 1 keeps every in-cap
     class of a saturated run at max_order.  Returns whether both runs
     saturated, that is, whether anything was compared."""
-    low, high = (language(system, LanguageConfig(max_iterations, n))
+    low, high = (audited(system, LanguageConfig(max_iterations, n))
                  for n in (max_order, max_order + 1))
     if not (low.saturated and high.saturated):
         return False
@@ -655,7 +669,7 @@ def test_k9_closure_builds_one_product_per_orbit():
                                     make_rule((8, 9), (1, 2)),
                                     make_rule((1, 2), (1, 2))))
     graphs_module._canon_cached.cache_clear()
-    res = language(system, LanguageConfig(max_iterations=4, max_order=9))
+    res = audited(system, LanguageConfig(max_iterations=4, max_order=9))
     assert res.saturated
     orders = sorted(info.representative.order for info in res.classes.values())
     assert orders == [2, 9, 16]
@@ -693,7 +707,7 @@ def assert_no_class_outgrows_the_axioms(system, config):
     """With first.i == second.i in every rule, direction 1 of a splice of
     g and h has order i + n(h) - i and direction 2 order n(g), so no
     class is larger than the largest axiom."""
-    res = language(system, config)
+    res = audited(system, config)
     biggest = max(g.order for g in system.axioms)
     assert all(info.representative.order <= biggest
                for info in res.classes.values())
